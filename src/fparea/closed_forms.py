@@ -3,17 +3,16 @@
 Everything here is a direct double-precision evaluation of an explicit
 formula: the inverse Gaussian law of tau, the zero-drift area density, the
 low-order area moments, the exact correlation in gamma = mu*x, the
-discounted-area transform, and the expected time average.  This layer is
-the oracle both the symbolic moment engine and the simulator are tested
-against.
+discounted-area transform, and the expected time average, through a
+small scaled exponential integral.  Only the standard library is used, so
+importing this layer loads no scipy.  This layer is the oracle both the
+symbolic moment engine and the simulator are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .quad import QuadResult, integrate_exp_tail
 
 # Limits of the correlation as gamma -> infinity and gamma -> 0+, and its
 # global maximum, attained at gamma = 3/2.  The curve is unimodal, not
@@ -25,6 +24,7 @@ RHO_MAX = math.sqrt(7.0 / 8.0)
 # The expected time average tends to x/2 as mu -> infinity.
 TIME_AVERAGE_FLOOR_FACTOR = 0.5
 
+_EULER_GAMMA = 0.5772156649015328606
 _FPA0_NORM = 2.0 ** (1.0 / 3.0) / (3.0 ** (2.0 / 3.0) * math.gamma(1.0 / 3.0))
 
 
@@ -148,12 +148,48 @@ def w_joint(params: ModelParams, lambda1: float) -> float:
     return math.exp(mu * x - x * root) * _area_bracket(x, root)
 
 
-def expected_time_average(params: ModelParams, tol: float = 1e-10) -> float:
-    """E[A/tau] = (x/2) * (1 + integral of exp(-s*x)/(s+mu) over s > 0).
+def _exp1_scaled(z: float) -> float:
+    """e^z * E1(z) for z > 0, to about 1e-14 relative.
 
-    Always at least x/2, decreasing in mu; diverges as mu -> 0+.
-    Quadrature failures propagate.
+    Power series of E1 for z <= 1; modified Lentz evaluation of the
+    continued fraction e^z E1(z) = 1/(z+1- 1/(z+3- 4/(z+5- 9/(...))))
+    beyond, which needs fewer terms the larger z is.
+    """
+    if z <= 1.0:
+        # for z <= 1 the terms after the 19th sum to less than 1/(20*20!)
+        total, term = 0.0, -1.0
+        for k in range(1, 20):
+            term *= -z / k
+            total += term / k
+        return math.exp(z) * (-_EULER_GAMMA - math.log(z) + total)
+    if math.isinf(z):
+        return 0.0
+    b = z + 1.0
+    c = 1e300
+    d = 1.0 / b
+    h = d
+    for i in range(1, 200):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 2.2e-16:
+            return h
+    raise ArithmeticError(f"continued fraction for E1 did not settle at z={z}")
+
+
+def expected_time_average(params: ModelParams) -> float:
+    """E[A/tau] = (x/2) * (1 + e^gamma * E1(gamma)) with gamma = mu*x.
+
+    e^gamma * E1(gamma) is the integral of exp(-s*x)/(s+mu) over s > 0,
+    which `quad.integrate_exp_tail` evaluates by quadrature as a check.
+    Always at least x/2, decreasing in mu; diverges as mu -> 0+.  Raises
+    ValueError when mu*x underflows to zero.
     """
     _require_drift(params)
-    tail: QuadResult = integrate_exp_tail(params.x, params.mu, tol)
-    return TIME_AVERAGE_FLOOR_FACTOR * params.x * (1.0 + tail.value)
+    gamma = params.mu * params.x
+    if gamma == 0.0:
+        raise ValueError(f"mu*x underflows to zero at x={params.x}, mu={params.mu}")
+    return TIME_AVERAGE_FLOOR_FACTOR * params.x * (1.0 + _exp1_scaled(gamma))

@@ -1,10 +1,13 @@
-"""Deterministic quadrature for the closed-form layer.
+"""Deterministic quadrature, kept as a cross-check of the closed forms.
 
-Two integrals need care here: the drift tail integral behind the expected
-time average, and normalization/moment checks of densities on (0, inf),
-one of which carries an algebraic a^(-4/3) tail.  Adaptive Gauss-Kronrod
-does the work; this module owns the truncation and substitution logic and
-reports honest error bounds.
+Two integrals are handled here: the drift tail integral
+int_0^inf exp(-s*x)/(s+mu) ds, which `closed_forms.expected_time_average`
+evaluates in closed form as e^gamma E1(gamma), and normalization/moment
+checks of densities on (0, inf), one of which carries an algebraic
+a^(-4/3) tail.  Adaptive Gauss-Kronrod does the work; this module owns the
+truncation and substitution logic and reports honest error bounds.  scipy
+is imported on the first call, not with the package, so no CLI command
+pays for it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-from scipy.integrate import quad as _quad
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,7 @@ def integrate_exp_tail(x: float, mu: float, tol: float = 1e-10) -> QuadResult:
     while math.exp(-S * x) / (x * (S + mu)) >= 0.5 * tol:
         S *= 2.0
     tail_bound = math.exp(-S * x) / (x * (S + mu))
+    from scipy.integrate import quad as _quad
 
     def integrand(s: float) -> float:
         return math.exp(-s * x) / (s + mu)
@@ -74,6 +76,8 @@ def integrate_density(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    from scipy.integrate import quad as _quad
+
     if tail_exponent_hint is not None:
         if not 1.0 < tail_exponent_hint:
             raise ValueError(f"tail exponent hint must exceed 1, got {tail_exponent_hint}")

@@ -2,7 +2,11 @@
 
 These share no code path with the shipped quadrature: the scaled
 exponential integral is evaluated by classical means (power series for
-z <= 1, modified Lentz continued fraction beyond).
+z <= 1, modified Lentz continued fraction beyond).  The shipped closed form
+of the expected time average follows the same recipe, so a comparison with
+this oracle checks the recipe was typed twice alike, not that it is right;
+scipy.special.exp1 and the quadrature are the independent references for
+that (tests/test_closed_forms.py).
 """
 
 import math

@@ -3,12 +3,14 @@
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fparea import cli
 from fparea.closed_forms import ModelParams, expected_time_average, rho_exact
+from fparea.moments import joint_moment
 
 V21_TEXT = "(1/2)*x^4*mu^-3 + (2)*x^3*mu^-4 + (4)*x^2*mu^-5 + (4)*x^1*mu^-6"
 
@@ -54,6 +56,27 @@ class TestMoment:
         assert code == 2
         code, _, err = run_cli(capsys, "moment", "--m", "1", "--n", "0", "--x", "0", "--mu", "1")
         assert code == 2
+
+    def test_readout_past_float_powers(self, capsys):
+        # mu**-35 overflows a double, the moment itself does not
+        code, out, _ = run_cli(
+            capsys, "moment", "--m", "7", "--n", "7", "--x", "1e-100", "--mu", "1e-10"
+        )
+        assert code == 0
+        label, value = out.splitlines()[1].split(",")
+        exact = joint_moment(7, 7).evaluate(Fraction(1e-100), Fraction(1e-10))
+        assert label == "value"
+        assert float(value) == float(exact)
+        assert 1e257 < float(value) < 1e258
+
+    def test_readout_out_of_float_range(self, capsys):
+        for x, mu in (("1", "1e-20"), ("1e300", "1")):
+            code, out, err = run_cli(
+                capsys, "moment", "--m", "7", "--n", "7", "--x", x, "--mu", mu
+            )
+            assert code == 2
+            assert out == ""
+            assert "error:" in err and "exceeds the float range" in err
 
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +283,24 @@ class TestParserShell:
         )
         assert proc.returncode == 0
         assert proc.stdout == V21_TEXT + "\n"
+
+    def test_no_scipy_on_the_import_path(self):
+        # scipy loads with the quadrature helpers only, which no command calls
+        script = (
+            "import sys\n"
+            "import fparea\n"
+            "from fparea import cli\n"
+            "cli._build_parser()\n"
+            "fparea.expected_time_average(fparea.ModelParams(1.0, 1.0))\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+            "p = fparea.ModelParams(2.0, 0.5)\n"
+            "print(round(fparea.integrate_density(lambda t: fparea.fpt_density(p, t)).value, 6))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "1.0"]
 
     def test_module_invocation(self):
         proc = subprocess.run(

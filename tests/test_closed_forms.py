@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from fparea.closed_forms import (
     RHO_LIMIT_LARGE_DRIFT,
@@ -22,6 +23,7 @@ from fparea.closed_forms import (
     var_fpa,
     w_joint,
 )
+from fparea.quad import integrate_exp_tail
 
 
 class TestModelParams:
@@ -202,3 +204,20 @@ class TestExpectedTimeAverage:
     def test_requires_drift(self):
         with pytest.raises(ValueError):
             expected_time_average(ModelParams(x=1.0, mu=0.0))
+        with pytest.raises(ValueError):  # mu*x underflows to zero
+            expected_time_average(ModelParams(x=1e-200, mu=1e-200))
+
+    def test_matches_scipy_exp1_and_quadrature(self):
+        # Both references are independent of the shipped series and
+        # continued fraction, which tests/oracles.py shares.  gamma = 1e-10
+        # is the tiny-drift edge; scipy is used only while e^gamma is finite.
+        cases = [(x, float(g) / x) for g in np.logspace(-8.0, 6.0, 57) for x in (0.5, 2.0)]
+        cases.append((1.0, 1e-10))
+        for x, mu in cases:
+            got = expected_time_average(ModelParams(x=x, mu=mu))
+            quad = integrate_exp_tail(x, mu)
+            assert abs(got - 0.5 * x * (1.0 + quad.value)) <= 0.5 * x * (quad.abs_error_bound + 1e-13), (x, mu)
+            gamma = mu * x
+            if gamma < 700.0:
+                want = 0.5 * x * (1.0 + math.exp(gamma) * float(exp1(gamma)))
+                np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=f"x={x}, mu={mu}")

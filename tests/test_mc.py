@@ -2,6 +2,9 @@
 
 import io
 import math
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -357,3 +360,24 @@ class TestCsv:
             assert float(area) == battery[i].area
             assert int(steps) == battery[i].steps
             assert censored in ("0", "1")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc heap trimming")
+def test_paths_reuse_heap_pages():
+    # A fresh interpreter with nothing but fparea loaded: if glibc trimmed
+    # the heap between paths, each path would fault about a dozen pages
+    # back in (some 12000 for these 1000 paths).
+    script = (
+        "import resource\n"
+        "from fparea import mc\n"
+        "from fparea.closed_forms import ModelParams\n"
+        "config = mc.SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=1000, seed=5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "mc.run(config)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 3000
