@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
-from fractions import Fraction
 from typing import IO, Iterator
 
 from . import closed_forms, mc, moments
@@ -135,24 +133,6 @@ def _sim_config(args, x: float, mu: float) -> SimConfig:
     )
 
 
-def _float_readout(poly, x: float, mu: float) -> float:
-    """poly at (x, mu) as a float, exactly where the float Horner overflows.
-
-    At tiny mu the coefficient powers mu**e leave the float range even
-    when the value itself does not.
-    """
-    try:
-        value = poly.evaluate(x, mu)
-        if math.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    try:
-        return float(poly.evaluate(Fraction(x), Fraction(mu)))
-    except OverflowError:
-        raise ValueError(f"the value at x={x:g}, mu={mu:g} exceeds the float range") from None
-
-
 def cmd_moment(args) -> int:
     if args.m < 0 or args.n < 0:
         raise ValueError(f"--m and --n must be nonnegative, got ({args.m}, {args.n})")
@@ -163,7 +143,7 @@ def cmd_moment(args) -> int:
     if args.x is not None:
         _positive("--x", args.x)
         _positive("--mu", args.mu)
-        lines.append(f"value,{_float_readout(poly, args.x, args.mu):.17g}")
+        lines.append(f"value,{poly.evaluate(args.x, args.mu):.17g}")
     with _open_out(args.out) as out:
         out.write("\n".join(lines) + "\n")
     return 0

@@ -12,6 +12,7 @@ readout path, and only when the caller passes a float.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -202,7 +203,10 @@ class Poly:
 
         Exact Fraction arithmetic when both arguments are int or Fraction;
         double precision otherwise.  mu must be positive: the coefficients
-        carry negative mu powers.
+        carry negative mu powers.  At tiny mu those powers mu**e leave the
+        float range even where the value does not; the float readout then
+        evaluates exactly and rounds once, and raises ValueError only when
+        the value itself is beyond the float range.
         """
         if isinstance(x, (int, Fraction)) and isinstance(mu, (int, Fraction)):
             if mu <= 0:
@@ -216,10 +220,18 @@ class Poly:
         muf = float(mu)
         if muf <= 0.0:
             raise ValueError(f"mu must be positive, got {mu}")
-        acc = 0.0
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            acc = acc * xf + self.coeffs[k].evaluate(muf)
-        return acc
+        try:
+            acc = 0.0
+            for k in range(len(self.coeffs) - 1, -1, -1):
+                acc = acc * xf + self.coeffs[k].evaluate(muf)
+            if math.isfinite(acc):
+                return acc
+        except OverflowError:
+            pass
+        try:
+            return float(self.evaluate(Fraction(xf), Fraction(muf)))
+        except OverflowError:
+            raise ValueError(f"the value at x={xf:g}, mu={muf:g} exceeds the float range") from None
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``(1/2)*x^3*mu^-2 + (1)*x^2*mu^-3``.

@@ -20,6 +20,21 @@ Draw blocks are generated here and handed to the scan kernel, so results
 are independent of backend, block sizing, and execution order: every path
 is a pure function of (config, stream_index).
 
+Rounds: `run` takes the paths in chunks of up to 64, and each chunk owns a
+pool of Philox generator pairs rekeyed to its paths' streams.  A round
+draws the next block of normals (and uniforms) of every path still active
+straight into that path's row of a (rows, block) array, scans all rows in
+one kernel call, finalizes the rows that crossed, and carries the running
+sum and area of the others into the next round.  The block is a fixed
+working-set budget (2^14 doubles per array, 128 KB) divided among the
+active rows, within [256, 8192] steps and never past the horizon.  This
+cannot change a byte of the output: a row reads its own streams
+positionally, so its draws are those of the one-path scan whatever the
+block lengths; the kernel treats rows independently and folds the carries
+in the same order; and the crossing arithmetic below is the scalar
+expression applied elementwise.  `simulate_path` is the same machinery on
+one row.
+
 Censoring: a path that reaches max_time (default 50*x/mu) without
 crossing is returned with censored=True, excluded from estimators, and
 counted separately.  mu = 0 has no default horizon and requires an
@@ -37,18 +52,22 @@ import numpy as np
 from . import kernels
 from .closed_forms import ModelParams
 
-# Draw-block sizing: a small first block covers typical short paths, then
-# flat refills keep the wasted tail of the last block bounded.  Sizing is
-# invisible in the results; draws are consumed positionally.
-_BLOCK_FIRST = 2048
-_BLOCK_NEXT = 8192
-_EMPTY = np.empty(0)
+# Round sizing (see the module docstring): the block is _ROUND_BUDGET
+# draws divided among the active rows of a chunk of _CHUNK_PATHS paths,
+# within [_BLOCK_MIN, _BLOCK_MAX].  Short blocks while many paths are live
+# waste few draws past their crossings; long blocks once few are left keep
+# the per-call overhead down.  Sizing is invisible in the results.
+_CHUNK_PATHS = 64
+_ROUND_BUDGET = 1 << 14
+_BLOCK_MIN = 256
+_BLOCK_MAX = 8192
+_NO_UNIFORMS = np.empty((0, 0))
 # glibc hands free memory at the top of the heap back to the OS once more
 # than its trim threshold (128 KB at start-up) is free there, so the
-# temporaries every path allocates and frees would be faulted back in page
-# by page on the next path.  Freeing one mmapped block of this size makes
-# glibc raise the trim threshold to twice the size, above the churn of an
-# 8192-step block; other allocators are unaffected.
+# temporaries every round allocates and frees would be faulted back in
+# page by page on the next round.  Freeing one mmapped block of this size
+# makes glibc raise the trim threshold to twice the size, above the churn
+# of a round; other allocators are unaffected.
 _HEAP_PRIME_BYTES = 4 << 20
 
 
@@ -120,9 +139,13 @@ class HistogramDensity:
     mass: np.ndarray
 
 
-def _fresh_generator(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _generator_pool(size: int) -> list[tuple[np.random.Generator, np.random.Generator]]:
+    """`size` (normals, uniforms) Philox generator pairs, keyed by `_rekey`."""
+
+    def unkeyed() -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+
+    return [(unkeyed(), unkeyed()) for _ in range(size)]
 
 
 def _rekey(bitgen: np.random.Philox, seed: int, stream: int) -> None:
@@ -138,67 +161,81 @@ def _rekey(bitgen: np.random.Philox, seed: int, stream: int) -> None:
     bitgen.state = st
 
 
-def _scan_path(
-    config: SimConfig, gen_z: np.random.Generator, gen_u: np.random.Generator
-) -> PassageSample:
+def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample]:
+    """Paths first .. first+len(pool)-1 of the run, scanned together in rounds.
+
+    Row r of every round belongs to path first+r (while it is active) and
+    to the generator pair pool[r], rekeyed here to that path's streams.
+    All active paths have consumed the same number of steps, `base`, so a
+    round is one block of the same length for every row.
+    """
     x0 = config.params.x
     dt = config.dt
     drift = -(config.params.mu * dt)
     sqrt_dt = math.sqrt(dt)
     use_bridge = config.bridge_correction
     max_steps = config.max_steps
-    scan = kernels.scan_block
+    for r, (gen_z, gen_u) in enumerate(pool):
+        _rekey(gen_z.bit_generator, config.seed, 2 * (first + r))
+        _rekey(gen_u.bit_generator, config.seed, 2 * (first + r) + 1)
 
-    s_carry = 0.0
-    area_carry = 0.0
+    out: list = [None] * len(pool)
+    active = np.arange(len(pool))
+    s_carry = np.zeros(len(pool))
+    area_carry = np.zeros(len(pool))
     base = 0
-    while base < max_steps:
-        size = min(_BLOCK_FIRST if base == 0 else _BLOCK_NEXT, max_steps - base)
-        z = gen_z.standard_normal(size)
-        u = gen_u.random(size) if use_bridge else _EMPTY
-        status, j, x_before, x_after, s_before, area_before = scan(
+    while active.size and base < max_steps:
+        size = min(max(_ROUND_BUDGET // active.size, _BLOCK_MIN), _BLOCK_MAX, max_steps - base)
+        z = np.empty((active.size, size))
+        u = np.empty((active.size, size)) if use_bridge else _NO_UNIFORMS
+        for row, r in enumerate(active.tolist()):
+            gen_z, gen_u = pool[r]
+            gen_z.standard_normal(out=z[row])
+            if use_bridge:
+                gen_u.random(out=u[row])
+        status, j, x_before, x_after, s_before, area_before = kernels.scan_rows(
             x0, s_carry, area_carry, drift, sqrt_dt, dt, use_bridge, z, u
         )
-        if status == kernels.NO_EVENT:
-            s_carry = s_before
-            area_carry = area_before
-            base += size
-            continue
-        k = base + j
-        t_k = k * dt
-        if status == kernels.ENDPOINT_HIT:
-            # x_before > 0 >= x_after, so the interpolation fraction is in (0, 1]
-            frac = x_before / (x_before - x_after)
-            tau = t_k + frac * dt
-            area = area_before + 0.5 * x_before * (frac * dt)
-        else:
+        hit = status != kernels.NO_EVENT
+        if hit.any():
+            k = base + j[hit]
+            t_k = k * dt
+            x_before, x_after, area_hit = x_before[hit], x_after[hit], area_before[hit]
+            # bridge hits: the step midpoint and half the step's trapezoid;
+            # the endpoint hits among them are overwritten next
             tau = t_k + 0.5 * dt
-            area = area_before + 0.25 * (x_before + x_after) * dt
-        return PassageSample(tau, area, k + 1, False)
-    return PassageSample(max_steps * dt, area_carry, max_steps, True)
+            area = area_hit + 0.25 * (x_before + x_after) * dt
+            endpoint = status[hit] == kernels.ENDPOINT_HIT
+            # x_before > 0 >= x_after, so the interpolation fraction is in (0, 1]
+            xb, xa = x_before[endpoint], x_after[endpoint]
+            frac = xb / (xb - xa)
+            tau[endpoint] = t_k[endpoint] + frac * dt
+            area[endpoint] = area_hit[endpoint] + 0.5 * xb * (frac * dt)
+            for r, t, a, steps in zip(active[hit].tolist(), tau.tolist(), area.tolist(), (k + 1).tolist()):
+                out[r] = PassageSample(t, a, steps, False)
+            live = ~hit
+            active, s_before, area_before = active[live], s_before[live], area_before[live]
+        s_carry, area_carry = s_before, area_before
+        base += size
+    for r, area in zip(active.tolist(), area_carry.tolist()):
+        out[r] = PassageSample(max_steps * dt, area, max_steps, True)
+    return out
 
 
 def simulate_path(config: SimConfig, stream_index: int) -> PassageSample:
     """Simulate the single path owning RNG streams (seed, 2i) and (seed, 2i+1)."""
     if not 0 <= stream_index < config.paths:
         raise ValueError(f"stream_index {stream_index} outside 0..{config.paths - 1}")
-    gen_z = _fresh_generator(config.seed, 2 * stream_index)
-    gen_u = _fresh_generator(config.seed, 2 * stream_index + 1)
-    return _scan_path(config, gen_z, gen_u)
+    return _scan_paths(config, stream_index, _generator_pool(1))[0]
 
 
 def run(config: SimConfig) -> list[PassageSample]:
     """All paths of the run, indexed by stream; equal to per-index simulate_path."""
     np.empty(_HEAP_PRIME_BYTES, dtype=np.uint8)  # freed at once; see _HEAP_PRIME_BYTES
-    bg_z = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
-    bg_u = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
-    gen_z = np.random.Generator(bg_z)
-    gen_u = np.random.Generator(bg_u)
+    pool = _generator_pool(min(_CHUNK_PATHS, config.paths))
     out = []
-    for i in range(config.paths):
-        _rekey(bg_z, config.seed, 2 * i)
-        _rekey(bg_u, config.seed, 2 * i + 1)
-        out.append(_scan_path(config, gen_z, gen_u))
+    for first in range(0, config.paths, len(pool)):
+        out += _scan_paths(config, first, pool[: config.paths - first])
     return out
 
 

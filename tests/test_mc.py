@@ -1,5 +1,6 @@
 """Simulator: determinism, backend equivalence, oracle batteries, censoring."""
 
+import hashlib
 import io
 import math
 import platform
@@ -86,6 +87,22 @@ class TestDeterminism:
         for i in (0, 1, 7, SMALL.paths - 1):
             assert simulate_path(SMALL, i) == samples[i]
 
+    @pytest.mark.parametrize(
+        "bridge, digest",
+        [
+            (True, "2c91bb86e32f597a3ae117657f9c534fd648f874035d09bb88fbdfdbd6c4c77a"),
+            (False, "9fcb22800193aac635d8d35c0fd41189f5058761b3a91817c54e20ff644b3fe5"),
+        ],
+        ids=["bridge", "no-bridge"],
+    )
+    def test_pinned_csv_bytes(self, bridge, digest):
+        # the CSV of 500 paths (eight chunks, the last one partial) as RNG
+        # scheme v1 and the one-path-per-call scan first wrote it
+        cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=500, seed=4, bridge_correction=bridge)
+        buf = io.StringIO()
+        write_samples_csv(run(cfg), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
     def test_stream_index_range_checked(self):
         for bad in (-1, SMALL.paths):
             with pytest.raises(ValueError):
@@ -97,9 +114,31 @@ class TestDeterminism:
 
     def test_block_sizing_is_invisible(self, monkeypatch):
         want = run(SMALL)
-        monkeypatch.setattr(mc, "_BLOCK_FIRST", 7)
-        monkeypatch.setattr(mc, "_BLOCK_NEXT", 13)
-        assert run(SMALL) == want
+        for sizing in (
+            {"_CHUNK_PATHS": 1},  # one row per chunk
+            {"_BLOCK_MIN": 7, "_BLOCK_MAX": 7},  # 7-step blocks
+            {"_CHUNK_PATHS": 7, "_ROUND_BUDGET": 40, "_BLOCK_MIN": 3},  # 7 does not divide 25
+        ):
+            with monkeypatch.context() as patch:
+                for name, value in sizing.items():
+                    patch.setattr(mc, name, value)
+                assert run(SMALL) == want, sizing
+
+    def test_single_path_matches_run_across_chunks(self):
+        cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=2 * mc._CHUNK_PATHS + 3, seed=21)
+        samples = run(cfg)
+        for i in (mc._CHUNK_PATHS - 1, mc._CHUNK_PATHS, 2 * mc._CHUNK_PATHS + 2):
+            assert simulate_path(cfg, i) == samples[i]
+
+    def test_long_path_survives_several_rounds(self):
+        # x=10: ~10000 steps a path against rounds of budget/3 steps
+        cfg = SimConfig(ModelParams(x=10.0, mu=1.0), dt=1e-3, paths=3, seed=8)
+        samples = run(cfg)
+        steps = [s.steps for s in samples if not s.censored]
+        block = mc._ROUND_BUDGET // cfg.paths
+        assert len(steps) == 3 and min(steps) > block and max(steps) > 2 * block
+        for i in range(cfg.paths):
+            assert simulate_path(cfg, i) == samples[i]
 
     def test_no_bridge_deterministic_too(self):
         cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=30, seed=5, bridge_correction=False)
@@ -107,11 +146,34 @@ class TestDeterminism:
 
 
 BACKENDS = [
-    pytest.param(kernels.scan_block_reference, id="reference"),
-    pytest.param(kernels.scan_block_numpy, id="numpy"),
+    pytest.param(kernels.scan_rows_reference, id="reference"),
+    pytest.param(kernels.scan_rows_numpy, id="numpy"),
 ]
 if kernels.HAS_NUMBA:
-    BACKENDS.append(pytest.param(kernels.scan_block_compiled, id="numba"))
+    BACKENDS.append(pytest.param(kernels.scan_rows_compiled, id="numba"))
+
+
+def _random_rows(rng, rows, nsteps):
+    """Per-row carries and draws, with a row hit at j = 0 and a row never hit."""
+    x0 = float(rng.uniform(0.02, 2.0))
+    dt = float(rng.choice([1e-3, 1e-2, 0.1, 1.0]))
+    s_carry = rng.normal(scale=0.2, size=rows)
+    s_carry[x0 + s_carry <= 0] = 0.0
+    area_carry = rng.uniform(0.0, 3.0, size=rows)
+    z = rng.standard_normal((rows, nsteps))
+    u = rng.random((rows, nsteps))
+    # row 0 starts just above zero and steps far below it at once
+    s_carry[0] = 1e-9 - x0
+    z[0, 0] = -50.0
+    if rows > 1:
+        # the last row starts far above zero and rises every step
+        s_carry[-1] = 1e3
+        z[-1] = np.abs(z[-1]) + 3.0
+    return (x0, s_carry, area_carry, -0.5 * dt, math.sqrt(dt), dt), z, u
+
+
+def _bitwise(result):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in result]
 
 
 class TestBackends:
@@ -120,27 +182,31 @@ class TestBackends:
     def test_samples_bitwise_identical(self, monkeypatch, scan, bridge):
         cfg = SimConfig(ModelParams(x=1.0, mu=0.8), dt=1e-3, paths=40, seed=11, bridge_correction=bridge)
         want = run(cfg)
-        monkeypatch.setattr(kernels, "scan_block", scan)
+        monkeypatch.setattr(kernels, "scan_rows", scan)
         assert run(cfg) == want
 
     @pytest.mark.parametrize("scan", BACKENDS)
     def test_kernel_contract_on_random_blocks(self, scan):
-        # same draws through every backend, including carry chaining
+        # same (rows, steps) draws and per-row carries through every backend
         rng = np.random.default_rng(2024)
+        seen = set()
         for _ in range(60):
+            rows = int(rng.integers(1, 9))
             nsteps = int(rng.integers(1, 50))
-            x0 = float(rng.uniform(0.02, 2.0))
-            dt = float(rng.choice([1e-3, 1e-2, 0.1, 1.0]))
-            s_carry = float(rng.normal(scale=0.2))
-            if x0 + s_carry <= 0:
-                s_carry = 0.0
-            z = rng.standard_normal(nsteps)
-            u = rng.random(nsteps)
+            head, z, u = _random_rows(rng, rows, nsteps)
             for bridge in (True, False):
-                args = (x0, s_carry, 0.37, -0.5 * dt, math.sqrt(dt), dt, bridge, z, u)
-                want = kernels.scan_block_reference(*args)
-                got = scan(*args)
-                assert got == want
+                args = (*head, bridge, z, u if bridge else np.empty((0, 0)))
+                want = kernels.scan_rows_reference(*args)
+                assert _bitwise(scan(*args)) == _bitwise(want)
+                status, j = want[0], want[1]
+                assert status[0] == kernels.ENDPOINT_HIT and j[0] == 0
+                seen.update(zip(status.tolist(), (j == 0).tolist(), [bridge] * rows))
+        # every outcome occurred: hits at j = 0 and later, and rows without
+        # a hit, with the bridge on and off
+        for bridge in (True, False):
+            assert (kernels.NO_EVENT, False, bridge) in seen
+            assert (kernels.ENDPOINT_HIT, False, bridge) in seen
+        assert {(kernels.BRIDGE_HIT, True, True), (kernels.BRIDGE_HIT, False, True)} <= seen
 
     def test_backend_name_reports(self):
         assert kernels.backend_name() in ("numba", "numpy")
@@ -224,6 +290,27 @@ class TestCensoring:
         ):
             with pytest.raises(InsufficientSamplesError):
                 estimator(samples)
+
+    def test_horizon_ends_mid_round(self, monkeypatch):
+        # max_steps = 300 cuts the second round of 64 rows short (256 + 44)
+        cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=70, seed=3, max_time=0.3)
+        samples = run(cfg)
+        censored = [s for s in samples if s.censored]
+        assert 0 < len(censored) < cfg.paths
+        assert all(s.tau == cfg.max_steps * cfg.dt and s.steps == 300 for s in censored)
+        assert all(s.steps <= 300 for s in samples)
+        assert simulate_path(cfg, 69) == samples[69]
+        monkeypatch.setattr(mc, "_BLOCK_MIN", 1000)
+        assert run(cfg) == samples
+
+    def test_zero_drift_with_explicit_horizon(self, monkeypatch):
+        cfg = SimConfig(ModelParams(x=1.0, mu=0.0), dt=1e-3, paths=70, seed=54, max_time=2.0)
+        samples = run(cfg)
+        assert 0 < sum(s.censored for s in samples) < cfg.paths
+        assert all(s.tau > 0 and s.area > 0 for s in samples)
+        assert [simulate_path(cfg, i) for i in (0, 64, 69)] == [samples[i] for i in (0, 64, 69)]
+        monkeypatch.setattr(mc, "_CHUNK_PATHS", 1)
+        assert run(cfg) == samples
 
     def test_censored_samples_are_excluded(self):
         samples = [

@@ -134,6 +134,19 @@ class TestStructureLaws:
         assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
+    def test_float_readout_past_float_powers(self):
+        # at mu = 1e-10 the coefficient power mu**-35 overflows a double;
+        # the moment does not, and the readout rounds the exact value once
+        poly = joint_moment(7, 7)
+        value = poly.evaluate(1e-100, 1e-10)
+        assert value == float(poly.evaluate(F(1e-100), F(1e-10)))
+        assert value == 1.3721863034879983e257
+
+    def test_float_readout_beyond_float_range(self):
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            joint_moment(7, 7).evaluate(1, 1e-20)
+
+
 class TestDriver:
     def test_memoization_is_idempotent(self):
         first = joint_moment(3, 2)
