@@ -2,7 +2,7 @@
 
 For X(t) = x - mu*t + B_t absorbed at zero, this package computes the
 joint moments E[tau^m A^n] of the passage time tau and swept area A as
-exact polynomials in x with rational Laurent coefficients in mu, evaluates
+exact polynomials mu^-(2m+3n) * P_{m,n}(mu*x) with rational P, evaluates
 the known closed forms (inverse Gaussian passage law, zero-drift area
 density, exact correlation, discounted area, expected time average), and
 simulates (tau, A) with a Brownian-bridge crossing correction and
@@ -25,7 +25,7 @@ from .closed_forms import (
     var_fpa,
     w_joint,
 )
-from .laurent import Laurent, Poly, parse_polynomial
+from .laurent import Poly, parse_polynomial
 from .mc import (
     DegenerateVarianceError,
     EstimatorSummary,
@@ -49,7 +49,6 @@ from .moments import (
     correlation_from_moments,
     joint_moment,
     solve_back_substitution,
-    solve_explicit_inverse,
     verify_ode_residual,
 )
 from .quad import QuadratureError, QuadResult, integrate_density, integrate_exp_tail
@@ -64,7 +63,6 @@ __all__ = [
     "EstimatorSummary",
     "HistogramDensity",
     "InsufficientSamplesError",
-    "Laurent",
     "MissingMomentError",
     "ModelParams",
     "MomentTable",
@@ -94,7 +92,6 @@ __all__ = [
     "second_moment_fpa",
     "simulate_path",
     "solve_back_substitution",
-    "solve_explicit_inverse",
     "var_fpa",
     "verify_ode_residual",
     "w_joint",

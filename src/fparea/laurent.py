@@ -1,10 +1,10 @@
 """Exact coefficient algebra for first-passage moment polynomials.
 
-Every joint moment E[tau^m A^n] of drifted Brownian motion killed at zero is
-a polynomial in the starting point x whose coefficients are rational
-multiples of integer (mostly negative) powers of the drift mu.  This module
-provides that value domain: Laurent polynomials in mu over exact rationals,
-and dense polynomials in x over those.
+Brownian scaling makes every joint moment E[tau^m A^n] of drifted Brownian
+motion killed at zero equal to mu^-(2m+3n) * P_{m,n}(mu*x), with P_{m,n} a
+polynomial over the rationals.  `Poly` holds that shape: a weight W and the
+coefficients c_k of gamma = mu*x, so the coefficient of x^k is the single
+monomial c_k * mu^(k-W).
 
 All arithmetic is exact.  Floating point appears only on the `evaluate`
 readout path, and only when the caller passes a float.
@@ -15,138 +15,38 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-RationalLike = Union[int, Fraction]
-
-
-class Laurent:
-    """Laurent polynomial in mu: finite map {integer exponent: Fraction}.
-
-    Zero coefficients are never stored, so dict equality is semantic
-    equality.  Instances are treated as immutable values.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, RationalLike] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                q = Fraction(coeff)
-                if q:
-                    clean[int(exp)] = q
-        self.terms = clean
-
-    @classmethod
-    def of(cls, coeff: RationalLike, exp: int = 0) -> "Laurent":
-        """Single term coeff * mu^exp."""
-        return cls({exp: coeff})
-
-    @classmethod
-    def zero(cls) -> "Laurent":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "Laurent":
-        return cls({0: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({e: -q for e, q in self.terms.items()})
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.terms)
-        for e, q in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + q
-        return Laurent(out)
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent | RationalLike") -> "Laurent":
-        if isinstance(other, (int, Fraction)):
-            other = Laurent.of(other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, q1 in self.terms.items():
-            for e2, q2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + q1 * q2
-        return Laurent(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, mu: float) -> float:
-        return sum(float(q) * mu**e for e, q in self.terms.items())
-
-    def evaluate_exact(self, mu: RationalLike) -> Fraction:
-        m = Fraction(mu)
-        return sum((q * m**e for e, q in self.terms.items()), Fraction(0))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Laurent(0)"
-        body = " + ".join(
-            f"({q})*mu^{e}" for e, q in sorted(self.terms.items(), reverse=True)
-        )
-        return f"Laurent({body})"
+from typing import Iterable
 
 
 class Poly:
-    """Dense polynomial in x with Laurent-in-mu coefficients.
+    """Homogeneous polynomial mu^-weight * sum_k coeffs[k] * (mu x)^k.
 
-    `coeffs[k]` is the coefficient of x^k.  Trailing zero coefficients are
-    trimmed on construction, so the leading coefficient is nonzero unless
-    the polynomial is zero (empty tuple, degree -1).  Moment polynomials
-    additionally vanish at x = 0; that invariant belongs to the moment
-    table, not to this type, because formal derivatives legitimately carry
-    constant terms.
+    Trailing zero coefficients are trimmed on construction, so the leading
+    coefficient is nonzero unless the polynomial is zero (empty tuple,
+    degree -1, weight 0).  Sums need equal weights, zero being neutral;
+    products add them.  Moment polynomials additionally vanish at x = 0;
+    that invariant belongs to the moment table, not to this type, because
+    formal derivatives legitimately carry constant terms.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "weight")
 
-    def __init__(self, coeffs: Iterable[Laurent] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
+    def __init__(self, coeffs: Iterable[int | Fraction] = (), weight: int = 0):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: "Laurent | RationalLike") -> "Poly":
-        if isinstance(c, (int, Fraction)):
-            c = Laurent.of(c)
-        return cls([c])
+        self.weight = int(weight) if cs else 0
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Laurent:
+    def coefficient(self, k: int) -> Fraction:
+        """Coefficient of gamma^k; zero outside 0..degree."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Laurent.zero()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -154,76 +54,66 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return self.weight == other.weight and self.coeffs == other.coeffs
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly((-c for c in self.coeffs), self.weight)
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        if self.weight != other.weight:
+            raise ValueError(f"cannot add polynomials of weight {self.weight} and {other.weight}")
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coefficient(k) + other.coefficient(k) for k in range(n))
+        return Poly((self.coefficient(k) + other.coefficient(k) for k in range(n)), self.weight)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
-
-    def scale(self, c: "Laurent | RationalLike") -> "Poly":
-        """Multiply every coefficient by the Laurent scalar c."""
-        if isinstance(c, (int, Fraction)):
-            c = Laurent.of(c)
-        return Poly(coeff * c for coeff in self.coeffs)
-
-    def mul_by_x(self) -> "Poly":
-        """Shift every coefficient up one x power."""
-        if not self.coeffs:
-            return self
-        return Poly((Laurent.zero(),) + self.coeffs)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return Poly.zero()
-        out = [Laurent.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return Poly(out, self.weight + other.weight)
 
     def differentiate(self) -> "Poly":
-        """Formal derivative in x; the result may have a constant term."""
-        return Poly(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
+        """Formal derivative in x (weight - 1); the result may have a constant term."""
+        return Poly((k * self.coeffs[k] for k in range(1, len(self.coeffs))), self.weight - 1)
 
     def evaluate(self, x, mu):
-        """Horner readout at (x, mu).
+        """Readout at (x, mu), mu > 0; exact when both are int or Fraction.
 
-        Exact Fraction arithmetic when both arguments are int or Fraction;
-        double precision otherwise.  mu must be positive: the coefficients
-        carry negative mu powers.  At tiny mu those powers mu**e leave the
-        float range even where the value does not; the float readout then
-        evaluates exactly and rounds once, and raises ValueError only when
-        the value itself is beyond the float range.
+        Floats run Horner in x over the coefficients c_k * mu**(k - weight).
+        At tiny mu those powers leave the float range even where the value
+        does not; the readout then rounds the exact value once, and raises
+        ValueError only when the value itself is beyond the float range.
         """
         if isinstance(x, (int, Fraction)) and isinstance(mu, (int, Fraction)):
             if mu <= 0:
                 raise ValueError(f"mu must be positive, got {mu}")
-            xq = Fraction(x)
+            muq = Fraction(mu)
+            gamma = Fraction(x) * muq
             acc = Fraction(0)
-            for k in range(len(self.coeffs) - 1, -1, -1):
-                acc = acc * xq + self.coeffs[k].evaluate_exact(mu)
-            return acc
+            for c in reversed(self.coeffs):
+                acc = acc * gamma + c
+            return acc * muq**-self.weight
         xf = float(x)
         muf = float(mu)
         if muf <= 0.0:
             raise ValueError(f"mu must be positive, got {mu}")
         try:
             acc = 0.0
-            for k in range(len(self.coeffs) - 1, -1, -1):
-                acc = acc * xf + self.coeffs[k].evaluate(muf)
+            for k in range(self.degree, -1, -1):
+                c = self.coeffs[k]
+                acc = acc * xf + (float(c) * muf ** (k - self.weight) if c else 0)
             if math.isfinite(acc):
                 return acc
         except OverflowError:
@@ -236,21 +126,16 @@ class Poly:
     def to_text(self) -> str:
         """Canonical text form, e.g. ``(1/2)*x^3*mu^-2 + (1)*x^2*mu^-3``.
 
-        Terms in decreasing x power, then decreasing mu exponent.  A bare
-        rational constant renders without the factor scaffolding (``1``),
-        and the zero polynomial renders as ``0``.  `parse_polynomial`
-        inverts this exactly.
+        One term ``(c_k)*x^k*mu^(k-weight)`` per nonzero coefficient, in
+        decreasing x power; a weight-0 constant renders as a bare rational
+        (``1``), zero as ``0``.  `parse_polynomial` inverts this exactly.
         """
         if not self.coeffs:
             return "0"
-        if self.degree == 0 and set(self.coeffs[0].terms) == {0}:
-            return str(self.coeffs[0].terms[0])
-        parts = []
-        for k in range(self.degree, -1, -1):
-            terms = self.coeffs[k].terms
-            for e in sorted(terms, reverse=True):
-                parts.append(f"({terms[e]})*x^{k}*mu^{e}")
-        return " + ".join(parts)
+        if self.degree == 0 and self.weight == 0:
+            return str(self.coeffs[0])
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        return " + ".join(f"({c})*x^{k}*mu^{k - self.weight}" for k, c in reversed(terms))
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()})"
@@ -263,20 +148,24 @@ _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 def parse_polynomial(text: str) -> Poly:
     """Parse the `to_text` format back into a Poly.
 
-    Raises ValueError on anything that is not a well-formed rendering.
+    Raises ValueError on anything that is not a well-formed rendering,
+    including terms ``x^k*mu^e`` whose weights k - e differ: such text is
+    not of the form mu^-W * P(mu*x).
     """
     body = text.strip()
     if body == "0":
-        return Poly.zero()
+        return Poly()
     if _RATIONAL_RE.fullmatch(body):
-        return Poly.constant(Fraction(body))
-    by_power: dict[int, dict[int, Fraction]] = {}
+        return Poly([Fraction(body)])
+    coeffs: dict[int, Fraction] = {}
+    weights = set()
     for part in body.split(" + "):
         m = _TERM_RE.fullmatch(part.strip())
         if m is None:
             raise ValueError(f"malformed polynomial term: {part!r}")
         q, k, e = Fraction(m.group(1)), int(m.group(2)), int(m.group(3))
-        slot = by_power.setdefault(k, {})
-        slot[e] = slot.get(e, Fraction(0)) + q
-    top = max(by_power)
-    return Poly(Laurent(by_power.get(k, {})) for k in range(top + 1))
+        weights.add(k - e)
+        coeffs[k] = coeffs.get(k, 0) + q
+    if len(weights) > 1:
+        raise ValueError(f"terms of unequal weight k - e {sorted(weights)}: {text!r}")
+    return Poly((coeffs.get(k, 0) for k in range(max(coeffs) + 1)), weights.pop())

@@ -11,11 +11,11 @@ term.  The homogeneous part c1 + c2*exp(2*mu*x) is dropped entirely; the
 polynomial particular solution is the one that stays bounded as mu grows
 and vanishes at zero.
 
-Two independent solvers are provided.  `solve_back_substitution` walks the
-coefficient equations top-down.  `solve_explicit_inverse` applies the
-closed-form inverse of the upper-bidiagonal coefficient matrix (diagonal
--i*mu, superdiagonal i(i+1)/2) as a triangular map.  They must agree
-exactly; tests cross-check them on the whole lattice.
+Brownian scaling (tau ~ mu^-2 and A ~ mu^-3 at fixed gamma = mu*x) gives
+V_{m,n}(x, mu) = mu^-(2m+3n) * P_{m,n}(gamma) with rational P, so the
+recursion runs at mu = 1 on the coefficients of P,
+(1/2) P'' - P' = -m P_{m-1,n} - n gamma P_{m,n-1}, and the weight 2m+3n of
+the `Poly` restores mu.
 
 The base entry V_{0,0} = 1 is stored explicitly: the right-hand sides for
 (1,0) and (0,1) need it, even though it breaks the vanishing-at-zero shape
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .laurent import Laurent, Poly
+from .laurent import Poly
 
 MomentIndex = tuple[int, int]
 
@@ -40,7 +40,7 @@ class MomentTable:
     """Memoized lattice of moment polynomials, closed under dependencies."""
 
     def __init__(self):
-        self.entries: dict[MomentIndex, Poly] = {(0, 0): Poly.constant(1)}
+        self.entries: dict[MomentIndex, Poly] = {(0, 0): Poly([1])}
 
     def __contains__(self, idx: MomentIndex) -> bool:
         return idx in self.entries
@@ -53,8 +53,8 @@ class MomentTable:
 
     def store(self, idx: MomentIndex, poly: Poly) -> None:
         m, n = idx
-        # shape guard: degree m+2n, no constant term
-        if poly.degree != m + 2 * n or not poly.coefficient(0).is_zero():
+        # shape guard: degree m+2n, no constant term, scaling weight 2m+3n
+        if poly.degree != m + 2 * n or poly.coefficient(0) or poly.weight != 2 * m + 3 * n:
             raise ValueError(f"malformed moment polynomial for {idx}")
         self.entries[idx] = poly
 
@@ -67,148 +67,82 @@ def _validate_index(idx: MomentIndex) -> MomentIndex:
 
 
 def assemble_rhs(idx: MomentIndex, table: MomentTable) -> Poly:
-    """Right-hand side -m V_{m-1,n} - n x V_{m,n-1}, degree m+2n-1.
+    """Right-hand side -m V_{m-1,n} - n x V_{m,n-1}, degree m+2n-1, weight 2m+3n-2.
 
-    Terms whose index would go negative contribute nothing.  The only
-    nonzero constant term arises for idx = (1,0), where the dependency is
-    V_{0,0} = 1.
+    The only nonzero constant term arises for idx = (1,0), where the
+    dependency is V_{0,0} = 1.
     """
     m, n = _validate_index(idx)
     if (m, n) == (0, 0):
         raise ValueError("(0, 0) is the recursion base, it has no right-hand side")
-    rhs = Poly.zero()
+    rhs = Poly()
     if m >= 1:
-        rhs = rhs + table.require((m - 1, n)).scale(-m)
+        rhs = rhs + Poly([-m]) * table.require((m - 1, n))
     if n >= 1:
-        rhs = rhs + table.require((m, n - 1)).mul_by_x().scale(-n)
+        rhs = rhs + Poly([0, -n], weight=1) * table.require((m, n - 1))  # -n x
     return rhs
 
 
 def solve_back_substitution(rhs: Poly, idx: MomentIndex) -> Poly:
     """Solve (1/2) V'' - mu V' = rhs for the degree m+2n polynomial V, V(0)=0.
 
-    Matching the coefficient of x^d on both sides gives
+    At mu = 1 the coefficient of gamma^d on both sides gives
 
-        (d+1) * ((d+2)/2 * a_{d+2} - mu * a_{d+1}) = r_d ,
+        (d+1) * ((d+2)/2 * a_{d+2} - a_{d+1}) = r_d ,
 
     with a_{D+1} = 0 at the top degree D = m+2n.  The top equation fixes
-    a_D = -r_{D-1}/(mu D); each lower equation then yields a_{d+1} from
-    a_{d+2} by one exact division by mu.
+    a_D = -r_{D-1}/D; each lower equation then yields a_{d+1} from a_{d+2}.
     """
     m, n = _validate_index(idx)
     D = m + 2 * n
     if D == 0:
         raise ValueError("no polynomial shape to solve for at index (0, 0)")
-    inv_mu = Laurent.of(1, -1)
-    a: list[Laurent] = [Laurent.zero()] * (D + 1)
-    a[D] = rhs.coefficient(D - 1) * Laurent.of(Fraction(-1, D), -1)
+    a = [Fraction(0)] * (D + 1)
+    a[D] = -rhs.coefficient(D - 1) / D
     for d in range(D - 2, -1, -1):
-        half_step = a[d + 2] * Fraction(d + 2, 2)
-        a[d + 1] = (half_step - rhs.coefficient(d) * Fraction(1, d + 1)) * inv_mu
-    return Poly(a)
+        a[d + 1] = Fraction(d + 2, 2) * a[d + 2] - rhs.coefficient(d) / (d + 1)
+    return Poly(a, 2 * m + 3 * n)
 
 
-def solve_explicit_inverse(idx: MomentIndex, table: MomentTable) -> Poly:
-    """Independent solver via the closed-form inverse of the system matrix.
-
-    The coefficient equations read M a = r with M upper bidiagonal
-    (M_ii = -i*mu, M_{i,i+1} = i(i+1)/2).  Row i of r collects the x^{i-1}
-    coefficient of the right-hand side: the dependency columns are padded
-    down by one (tau route, scaled by -m) and by two (area route, scaled
-    by -n), constants included, which is where the base entry V_{0,0} = 1
-    enters for the edge rows of the lattice.
-
-    The inverse is upper triangular with C_{i,i} = -1/(i*mu) and the
-    uniform ratio C_{i,j+1} = C_{i,j} * j/(2*mu); it is applied as a
-    triangular map, never materialized.
-    """
-    m, n = _validate_index(idx)
-    if (m, n) == (0, 0):
-        raise ValueError("(0, 0) is the recursion base, nothing to solve")
-    N = m + 2 * n
-    r: list[Laurent] = [Laurent.zero()] * (N + 1)
-    if m >= 1:
-        dep = table.require((m - 1, n))
-        for i in range(1, N + 1):
-            r[i] = r[i] + dep.coefficient(i - 1) * (-m)
-    if n >= 1:
-        dep = table.require((m, n - 1))
-        for i in range(1, N + 1):
-            r[i] = r[i] + dep.coefficient(i - 2) * (-n)
-    half_inv_mu = Laurent.of(Fraction(1, 2), -1)
-    a: list[Laurent] = [Laurent.zero()] * (N + 1)
-    for i in range(1, N + 1):
-        c = Laurent.of(Fraction(-1, i), -1)
-        acc = c * r[i]
-        for j in range(i + 1, N + 1):
-            c = c * half_inv_mu * (j - 1)
-            acc = acc + c * r[j]
-        a[i] = acc
-    a[0] = Laurent.zero()
-    return Poly(a)
+_table = MomentTable()
 
 
-_SOLVERS = ("back_substitution", "explicit_inverse")
-_tables: dict[str, MomentTable] = {}
-
-
-def joint_moment(m: int, n: int, solver: str = "back_substitution") -> Poly:
-    """E[tau^m A^n] as an exact polynomial in x with Laurent-in-mu coefficients.
+def joint_moment(m: int, n: int) -> Poly:
+    """E[tau^m A^n] = mu^-(2m+3n) * P_{m,n}(mu*x) as an exact Poly.
 
     Memoizing driver: fills the shared table along the dependency lattice,
-    so repeated calls are cheap and idempotent.  `solver` selects the
-    implementation; both give structurally identical results.
+    so repeated calls are cheap and idempotent.
     """
-    idx = _validate_index((m, n))
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}, expected one of {_SOLVERS}")
-    table = _tables.setdefault(solver, MomentTable())
-    return _fill(idx, table, solver)
-
-
-def _fill(idx: MomentIndex, table: MomentTable, solver: str) -> Poly:
-    m, n = idx
+    m, n = _validate_index((m, n))
     for i in range(m + 1):
         for j in range(n + 1):
-            if (i, j) in table:
-                continue
-            if solver == "back_substitution":
-                poly = solve_back_substitution(assemble_rhs((i, j), table), (i, j))
-            else:
-                poly = solve_explicit_inverse((i, j), table)
-            table.store((i, j), poly)
-    return table.require(idx)
+            if (i, j) not in _table:
+                rhs = assemble_rhs((i, j), _table)
+                _table.store((i, j), solve_back_substitution(rhs, (i, j)))
+    return _table.require((m, n))
 
 
 def verify_ode_residual(idx: MomentIndex, table: MomentTable) -> bool:
     """True iff (1/2) V'' - mu V' - rhs is identically zero, exactly."""
     v = table.require(_validate_index(idx))
     dv = v.differentiate()
-    residual = (
-        dv.differentiate().scale(Fraction(1, 2))
-        - dv.scale(Laurent.of(1, 1))
-        - assemble_rhs(idx, table)
-    )
-    return residual.is_zero()
+    mu = Poly([1], weight=-1)
+    return not (Poly([Fraction(1, 2)]) * dv.differentiate() - mu * dv - assemble_rhs(idx, table))
 
 
 def correlation_from_moments(x: float, mu: float) -> float:
     """Correlation of (tau, A) computed from the moment table.
 
-    Covariance and the two variances are formed symbolically (exact
-    polynomial products), evaluated at exact binary rationals of the
-    inputs, and combined with a single square root at the end.  Matches
-    the gamma = mu*x closed form to near machine precision.
+    The mu powers cancel in cov^2 / (var_tau * var_area), so five P_{m,n}
+    (V_{m,n} at mu = 1) are evaluated exactly at the binary rational
+    gamma = mu*x of the inputs and combined with one square root at the end.
+    Matches the gamma closed form to near machine precision.
     """
     if x <= 0 or mu <= 0:
         raise ValueError(f"x and mu must be positive, got x={x}, mu={mu}")
-    v10 = joint_moment(1, 0)
-    v01 = joint_moment(0, 1)
-    cov = joint_moment(1, 1) - v10 * v01
-    var_tau = joint_moment(2, 0) - v10 * v10
-    var_area = joint_moment(0, 2) - v01 * v01
-    xq = Fraction(x)
-    muq = Fraction(mu)
-    c = cov.evaluate(xq, muq)
-    vv = var_tau.evaluate(xq, muq) * var_area.evaluate(xq, muq)
-    return math.sqrt(float(c * c / vv))
+    g = Fraction(x) * Fraction(mu)
+    p10, p01, p11, p20, p02 = (
+        joint_moment(*idx).evaluate(g, 1) for idx in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+    )
+    cov = p11 - p10 * p01
+    return math.sqrt(float(cov * cov / ((p20 - p10 * p10) * (p02 - p01 * p01))))

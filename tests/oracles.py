@@ -1,15 +1,22 @@
-"""Independent special-function oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-These share no code path with the shipped quadrature: the scaled
-exponential integral is evaluated by classical means (power series for
-z <= 1, modified Lentz continued fraction beyond).  The shipped closed form
-of the expected time average follows the same recipe, so a comparison with
-this oracle checks the recipe was typed twice alike, not that it is right;
+The scaled exponential integral shares no code path with the shipped
+quadrature: it is evaluated by classical means (power series for z <= 1,
+modified Lentz continued fraction beyond).  The shipped closed form of the
+expected time average follows the same recipe, so a comparison with this
+oracle checks the recipe was typed twice alike, not that it is right;
 scipy.special.exp1 and the quadrature are the independent references for
 that (tests/test_closed_forms.py).
+
+`solve_explicit_inverse` solves the moment recursion by a route other than
+the shipped back substitution: the closed-form inverse of its coefficient
+matrix.
 """
 
 import math
+from fractions import Fraction
+
+from fparea.laurent import Poly
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -42,3 +49,40 @@ def exp1_scaled(z: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             return h
     raise RuntimeError(f"continued fraction failed to settle at z={z}")
+
+
+def solve_explicit_inverse(idx, table):
+    """V_{m,n} through the closed-form inverse of its coefficient system.
+
+    At mu = 1 (the weight 2m+3n of the result restores mu) the coefficient
+    equations read M a = r with M upper bidiagonal (M_ii = -i,
+    M_{i,i+1} = i(i+1)/2).  Row i of r collects the gamma^{i-1} coefficient
+    of the right-hand side: the dependency columns are padded down by one
+    (tau route, scaled by -m) and by two (area route, scaled by -n),
+    constants included, which is where the base entry V_{0,0} = 1 enters
+    for the edge rows of the lattice.
+
+    The inverse is upper triangular with C_ii = -1/i and the uniform ratio
+    C_{i,j+1} = C_{i,j} * j/2; it is applied as a triangular map, never
+    materialized.
+    """
+    m, n = idx
+    N = m + 2 * n
+    r = [Fraction(0)] * (N + 1)
+    if m >= 1:
+        dep = table.require((m - 1, n))
+        for i in range(1, N + 1):
+            r[i] -= m * dep.coefficient(i - 1)
+    if n >= 1:
+        dep = table.require((m, n - 1))
+        for i in range(1, N + 1):
+            r[i] -= n * dep.coefficient(i - 2)
+    a = [Fraction(0)] * (N + 1)
+    for i in range(1, N + 1):
+        c = Fraction(-1, i)
+        acc = c * r[i]
+        for j in range(i + 1, N + 1):
+            c *= Fraction(j - 1, 2)
+            acc += c * r[j]
+        a[i] = acc
+    return Poly(a, 2 * m + 3 * n)

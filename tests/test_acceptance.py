@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import exp1_scaled
+from oracles import exp1_scaled, solve_explicit_inverse
 
 from fparea import kernels, mc
 from fparea.closed_forms import (
@@ -36,7 +36,6 @@ from fparea.moments import (
     correlation_from_moments,
     joint_moment,
     solve_back_substitution,
-    solve_explicit_inverse,
     verify_ode_residual,
 )
 from fparea.quad import integrate_density
@@ -62,15 +61,15 @@ def _verdict(label: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _fill_triangle(order: int, solver: str) -> MomentTable:
+def _fill_triangle(order: int, oracle: bool = False) -> MomentTable:
     table = MomentTable()
     for total in range(1, order + 1):
         for m in range(total + 1):
             idx = (m, total - m)
-            if solver == "back_substitution":
-                poly = solve_back_substitution(assemble_rhs(idx, table), idx)
-            else:
+            if oracle:
                 poly = solve_explicit_inverse(idx, table)
+            else:
+                poly = solve_back_substitution(assemble_rhs(idx, table), idx)
             table.store(idx, poly)
     return table
 
@@ -90,7 +89,7 @@ def _uncensored_arrays(samples):
 
 def test_criterion_1_symbolic_exactness():
     t0 = time.perf_counter()
-    table = _fill_triangle(3, "back_substitution")
+    table = _fill_triangle(3)
     exact = all(table.require(idx) == parse_polynomial(text) for idx, text in GOLDEN.items())
     elapsed = time.perf_counter() - t0
     driver = all(joint_moment(*idx) == parse_polynomial(text) for idx, text in GOLDEN.items())
@@ -113,22 +112,22 @@ def test_criterion_2_variance_identity():
 
 def test_criterion_3_structure_law():
     t0 = time.perf_counter()
-    back = _fill_triangle(8, "back_substitution")
-    inverse = _fill_triangle(8, "explicit_inverse")
+    back = _fill_triangle(8)
+    inverse = _fill_triangle(8, oracle=True)
     ok = True
     for total in range(1, 9):
         for m in range(total + 1):
             idx = (m, total - m)
             v = back.require(idx)
             ok = ok and v.degree == m + 2 * (total - m)
-            ok = ok and v.coefficient(0).is_zero()
+            ok = ok and v.coefficient(0) == 0
             ok = ok and verify_ode_residual(idx, back)
             ok = ok and v == inverse.require(idx)
     elapsed = time.perf_counter() - t0
     _verdict(
         "[C3] degree/constant/residual/solver agreement for m+n <= 8",
         ok and elapsed < 10.0,
-        f"44 indices, both solvers, {elapsed:.2f} s",
+        f"44 indices, solver and oracle, {elapsed:.2f} s",
     )
 
 

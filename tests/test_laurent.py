@@ -6,58 +6,62 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from fparea.laurent import Laurent, Poly, parse_polynomial
+from fparea.laurent import Poly, parse_polynomial
 
 
-def L(**kw):
-    # L(m1=F(1,2), p0=3) -> 1/2 * mu^-1 + 3; mN = exponent -N, pN = +N
-    terms = {}
-    for name, coeff in kw.items():
-        exp = int(name[1:]) * (-1 if name[0] == "m" else 1)
-        terms[exp] = coeff
-    return Laurent(terms)
+def P(weight, *coeffs):
+    # P(W, c0, c1, ...) -> mu^-W * (c0 + c1 (mu x) + ...)
+    return Poly(coeffs, weight)
 
 
-def P(*coeffs):
-    return Poly(coeffs)
-
-
-X_OVER_MU = P(Laurent(), L(m1=1))  # x/mu
-MEAN_AREA = P(Laurent(), L(m2=F(1, 2)), L(m1=F(1, 2)))  # x^2/2mu + x/2mu^2
-TAU_AREA = P(Laurent(), L(m4=1), L(m3=1), L(m2=F(1, 2)))  # x^3/2mu^2 + x^2/mu^3 + x/mu^4
+X_OVER_MU = P(2, 0, 1)  # x/mu
+MEAN_AREA = P(3, 0, F(1, 2), F(1, 2))  # x^2/2mu + x/2mu^2
+TAU_AREA = P(5, 0, 1, 1, F(1, 2))  # x^3/2mu^2 + x^2/mu^3 + x/mu^4
+ZERO = Poly()
 
 
 class TestHandExamples:
     def test_add_identity_and_doubling(self):
-        assert Poly.zero() + Poly.zero() == Poly.zero()
-        assert X_OVER_MU + X_OVER_MU == P(Laurent(), L(m1=2))
+        assert ZERO + ZERO == ZERO
+        assert X_OVER_MU + ZERO == X_OVER_MU == ZERO + X_OVER_MU
+        assert X_OVER_MU + X_OVER_MU == P(2, 0, 2)
 
     def test_add_cancels_coefficientwise(self):
-        q = P(Laurent(), L(m2=F(-1, 2)))
-        assert MEAN_AREA + q == P(Laurent(), Laurent(), L(m1=F(1, 2)))
+        q = P(3, 0, F(-1, 2))
+        assert MEAN_AREA + q == P(3, 0, 0, F(1, 2))
+        assert MEAN_AREA - MEAN_AREA == ZERO
+
+    def test_add_rejects_unequal_weights(self):
+        # x/mu (weight 2) plus the constant 1 (weight 0) is not mu^-W P(mu x)
+        for p, q in [(X_OVER_MU, P(0, 1)), (X_OVER_MU, MEAN_AREA), (TAU_AREA, X_OVER_MU)]:
+            with pytest.raises(ValueError, match="weight"):
+                p + q
+            with pytest.raises(ValueError, match="weight"):
+                p - q
 
     def test_scale(self):
-        assert X_OVER_MU.scale(-2) == P(Laurent(), L(m1=-2))
-        assert X_OVER_MU.scale(L(m2=F(1, 2))) == P(Laurent(), L(m3=F(1, 2)))
-        assert Poly.zero().scale(L(m2=F(1, 2))) == Poly.zero()
+        assert P(0, -2) * X_OVER_MU == P(2, 0, -2)
+        assert X_OVER_MU * P(2, F(1, 2)) == P(4, 0, F(1, 2))  # x/mu * 1/(2 mu^2)
+        assert X_OVER_MU * X_OVER_MU == P(4, 0, 0, 1)
+        assert ZERO * P(2, F(1, 2)) == ZERO
 
     def test_mul_by_x(self):
-        assert X_OVER_MU.mul_by_x() == P(Laurent(), Laurent(), L(m1=1))
-        assert MEAN_AREA.mul_by_x() == P(
-            Laurent(), Laurent(), L(m2=F(1, 2)), L(m1=F(1, 2))
-        )
-        assert Poly.zero().mul_by_x() == Poly.zero()
+        x = P(1, 0, 1)
+        assert x * X_OVER_MU == P(3, 0, 0, 1)
+        assert x * MEAN_AREA == P(4, 0, 0, F(1, 2), F(1, 2))
+        assert x * ZERO == ZERO
 
     def test_differentiate(self):
-        assert X_OVER_MU.differentiate() == P(L(m1=1))
-        assert TAU_AREA.differentiate() == P(L(m4=1), L(m3=2), L(m2=F(3, 2)))
-        assert Poly.zero().differentiate() == Poly.zero()
+        assert X_OVER_MU.differentiate() == P(1, 1)
+        assert TAU_AREA.differentiate() == P(4, 1, 2, F(3, 2))
+        assert ZERO.differentiate() == ZERO
 
     def test_evaluate(self):
         assert X_OVER_MU.evaluate(1.0, 2.0) == 0.5
         assert MEAN_AREA.evaluate(1.0, 1.0) == 1.0
         assert TAU_AREA.evaluate(0.0, 3.0) == 0.0
         assert MEAN_AREA.evaluate(F(1), F(1)) == F(1)
+        assert TAU_AREA.evaluate(F(2), F(1, 2)) == 16 + 32 + 32
 
     def test_evaluate_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
@@ -68,64 +72,68 @@ class TestHandExamples:
             X_OVER_MU.evaluate(F(1), F(-1, 2))
 
 
-def random_laurent(rng) -> Laurent:
-    return Laurent(
-        {
-            int(e): F(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
-            for e in rng.integers(-5, 3, size=rng.integers(0, 4))
-        }
-    )
+def random_poly(rng, weight=None) -> Poly:
+    """Random homogeneous polynomial; random weight unless one is given."""
+    w = int(rng.integers(-3, 8)) if weight is None else weight
+    coeffs = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(rng.integers(0, 6))]
+    return Poly(coeffs, w)
 
 
-def random_poly(rng) -> Poly:
-    return Poly(random_laurent(rng) for _ in range(rng.integers(0, 6)))
+def same_weight(rng, count):
+    w = int(rng.integers(-3, 8))
+    return [random_poly(rng, w) for _ in range(count)]
 
 
 class TestRingProperties:
     def test_add_commutes_and_associates(self):
         rng = np.random.default_rng(101)
         for _ in range(200):
-            p, q, r = (random_poly(rng) for _ in range(3))
+            p, q, r = same_weight(rng, 3)
             assert p + q == q + p
             assert (p + q) + r == p + (q + r)
 
     def test_scale_distributes(self):
         rng = np.random.default_rng(102)
         for _ in range(200):
-            p, q = random_poly(rng), random_poly(rng)
-            c = random_laurent(rng)
-            assert (p + q).scale(c) == p.scale(c) + q.scale(c)
+            p, q = same_weight(rng, 2)
+            c = P(int(rng.integers(-3, 8)), F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))))
+            assert (p + q) * c == p * c + q * c
 
     def test_mul_commutes_and_distributes(self):
         rng = np.random.default_rng(103)
         for _ in range(100):
-            p, q, r = (random_poly(rng) for _ in range(3))
+            p = random_poly(rng)
+            q, r = same_weight(rng, 2)
+            s = random_poly(rng)
             assert p * q == q * p
+            assert (p * q) * s == p * (q * s)
             assert p * (q + r) == p * q + p * r
 
     def test_product_rule_through_mul_by_x(self):
         # d/dx (x p) = p + x p'
+        x = P(1, 0, 1)
         rng = np.random.default_rng(104)
         for _ in range(200):
             p = random_poly(rng)
-            assert p.mul_by_x().differentiate() == p + p.differentiate().mul_by_x()
+            assert (x * p).differentiate() == p + x * p.differentiate()
 
     def test_cancellation_normalizes(self):
         rng = np.random.default_rng(105)
         for _ in range(200):
-            p, q = random_poly(rng), random_poly(rng)
-            assert p - p == Poly.zero()
+            p, q = same_weight(rng, 2)
+            assert p - p == ZERO
             assert (p + q) - q == p
             s = p + q
-            for c in s.coeffs:
-                assert all(v != 0 for v in c.terms.values())
+            assert all(type(c) is F for c in s.coeffs)
             if s.coeffs:
-                assert not s.coeffs[-1].is_zero()
+                assert s.coeffs[-1] != 0
+            else:
+                assert s.weight == 0
 
     def test_evaluate_is_additive(self):
         rng = np.random.default_rng(106)
         for _ in range(100):
-            p, q = random_poly(rng), random_poly(rng)
+            p, q = same_weight(rng, 2)
             x, mu = F(3, 2), F(5, 7)
             assert (p + q).evaluate(x, mu) == p.evaluate(x, mu) + q.evaluate(x, mu)
             xf, muf = 1.7, 0.9
@@ -144,22 +152,27 @@ class TestRingProperties:
 
 class TestTextFormat:
     def test_known_renderings(self):
-        assert Poly.zero().to_text() == "0"
-        assert Poly.constant(1).to_text() == "1"
-        assert Poly.constant(-1).to_text() == "-1"
-        assert Poly.constant(F(3, 2)).to_text() == "3/2"
+        assert ZERO.to_text() == "0"
+        assert P(0, 1).to_text() == "1"
+        assert P(0, -1).to_text() == "-1"
+        assert P(0, F(3, 2)).to_text() == "3/2"
         assert TAU_AREA.to_text() == "(1/2)*x^3*mu^-2 + (1)*x^2*mu^-3 + (1)*x^1*mu^-4"
-        # a constant that is not a plain rational keeps the full term form
-        assert P(L(m1=1)).to_text() == "(1)*x^0*mu^-1"
+        # a constant of nonzero weight keeps the full term form
+        assert P(1, 1).to_text() == "(1)*x^0*mu^-1"
 
-    def test_mixed_mu_exponents_sorted_descending(self):
-        p = P(Laurent(), Laurent({-2: F(-1, 2), -1: F(-3, 2)}))
-        assert p.to_text() == "(-3/2)*x^1*mu^-1 + (-1/2)*x^1*mu^-2"
+    def test_parse_rejects_terms_of_unequal_weight(self):
+        for bad in [
+            "(1)*x^2*mu^-1 + (1)*x^1*mu^-1",
+            "(-3/2)*x^1*mu^-1 + (-1/2)*x^1*mu^-2",
+            "(1)*x^1*mu^-1 + (1)*x^0*mu^0",
+        ]:
+            with pytest.raises(ValueError, match="unequal weight"):
+                parse_polynomial(bad)
 
     def test_parse_known(self):
-        assert parse_polynomial("0") == Poly.zero()
-        assert parse_polynomial("1") == Poly.constant(1)
-        assert parse_polynomial("-5/3") == Poly.constant(F(-5, 3))
+        assert parse_polynomial("0") == ZERO
+        assert parse_polynomial("1") == P(0, 1)
+        assert parse_polynomial("-5/3") == P(0, F(-5, 3))
         text = "(1/2)*x^3*mu^-2 + (1)*x^2*mu^-3 + (1)*x^1*mu^-4"
         assert parse_polynomial(text) == TAU_AREA
 

@@ -1,13 +1,16 @@
 """Moment recursion: known closed forms, solver cross-checks, structure laws."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from oracles import solve_explicit_inverse
+
 from fparea.closed_forms import ModelParams, fpt_density, rho_exact
-from fparea.laurent import Laurent, Poly, parse_polynomial
+from fparea.laurent import Poly, parse_polynomial
 from fparea.moments import (
     MissingMomentError,
     MomentTable,
@@ -15,7 +18,6 @@ from fparea.moments import (
     correlation_from_moments,
     joint_moment,
     solve_back_substitution,
-    solve_explicit_inverse,
     verify_ode_residual,
 )
 from fparea.quad import integrate_density
@@ -33,17 +35,17 @@ KNOWN = {
 }
 
 
-def fill_table(max_m, max_n, solver="back_substitution"):
-    """Fresh table filled through the public pieces, no shared memo."""
+def fill_table(max_m, max_n, oracle=False):
+    """Fresh table filled through the public pieces, or the test oracle."""
     table = MomentTable()
     for i in range(max_m + 1):
         for j in range(max_n + 1):
             if (i, j) == (0, 0):
                 continue
-            if solver == "back_substitution":
-                poly = solve_back_substitution(assemble_rhs((i, j), table), (i, j))
-            else:
+            if oracle:
                 poly = solve_explicit_inverse((i, j), table)
+            else:
+                poly = solve_back_substitution(assemble_rhs((i, j), table), (i, j))
             table.store((i, j), poly)
     return table
 
@@ -53,7 +55,7 @@ class TestKnownClosedForms:
     def test_both_solvers_reproduce(self, idx, text):
         expected = parse_polynomial(text)
         assert joint_moment(*idx) == expected
-        assert joint_moment(*idx, solver="explicit_inverse") == expected
+        assert fill_table(2, 2, oracle=True).require(idx) == expected
 
     def test_area_variance_polynomial(self):
         v01 = joint_moment(0, 1)
@@ -71,7 +73,7 @@ class TestKnownClosedForms:
 class TestRightHandSide:
     def test_base_neighbors(self):
         table = MomentTable()
-        assert assemble_rhs((1, 0), table) == Poly.constant(-1)
+        assert assemble_rhs((1, 0), table) == Poly([-1])
         assert assemble_rhs((0, 1), table) == parse_polynomial("(-1)*x^1*mu^0")
 
     def test_mixed_index(self):
@@ -91,14 +93,15 @@ class TestRightHandSide:
 class TestStructureLaws:
     def test_lattice_shape_residual_and_solver_agreement(self):
         bs = fill_table(5, 5)
-        ei = fill_table(5, 5, solver="explicit_inverse")
+        ei = fill_table(5, 5, oracle=True)
         for m in range(6):
             for n in range(6):
                 if m + n == 0 or m + n > 5:
                     continue
                 v = bs.require((m, n))
                 assert v.degree == m + 2 * n
-                assert v.coefficient(0).is_zero()
+                assert v.weight == 2 * m + 3 * n
+                assert v.coefficient(0) == 0
                 assert v == ei.require((m, n))
                 assert verify_ode_residual((m, n), bs)
 
@@ -112,10 +115,21 @@ class TestStructureLaws:
     def test_store_rejects_malformed(self):
         table = MomentTable()
         with pytest.raises(ValueError):
-            table.store((1, 0), Poly.constant(3))  # wrong degree
+            table.store((1, 0), Poly([3]))  # wrong degree
         with pytest.raises(ValueError):
-            # right degree, nonzero constant
-            table.store((1, 0), parse_polynomial("(1)*x^1*mu^-1") + Poly.constant(1))
+            # right degree and weight, nonzero constant
+            table.store((1, 0), parse_polynomial("(1)*x^1*mu^-1 + (1)*x^0*mu^-2"))
+        assert (1, 0) not in table
+
+    def test_store_rejects_wrong_weight(self):
+        table = MomentTable()
+        # right degree, no constant, but x^1*mu^0 has weight 1, not 2
+        with pytest.raises(ValueError):
+            table.store((1, 0), parse_polynomial("(1)*x^1*mu^0"))
+        with pytest.raises(ValueError):
+            table.store((0, 1), Poly([0, F(1, 2), F(1, 2)], weight=2))
+        table.store((0, 1), Poly([0, F(1, 2), F(1, 2)], weight=3))
+        assert table.require((0, 1)) == joint_moment(0, 1)
 
     def test_all_coefficients_positive(self):
         # observed throughout the accessible lattice; regression-guarded here
@@ -124,7 +138,7 @@ class TestStructureLaws:
             if m + n > 6:
                 continue
             for k in range(1, v.degree + 1):
-                assert all(q > 0 for q in v.coefficient(k).terms.values()), (m, n, k)
+                assert v.coefficient(k) > 0, (m, n, k)
 
     def test_vanishes_at_origin_and_decays_in_mu(self):
         for idx in [(1, 0), (0, 1), (2, 2)]:
@@ -147,6 +161,21 @@ class TestStructureLaws:
             joint_moment(7, 7).evaluate(1, 1e-20)
 
 
+class TestPinnedBytes:
+    """Moment texts and float readouts, pinned bit for bit."""
+
+    def test_triangle_text(self):
+        texts = [joint_moment(m, d - m).to_text() for d in range(21) for m in range(d + 1)]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert digest == "e7622c3c68e01a28a3450676c01714a93f6aa50aa0c1c991ff06b0b1ed488154"
+
+    def test_float_readouts(self):
+        # Horner in x over c_k * mu**(k - W); neither Horner in gamma times
+        # mu**-W nor the exactly rounded value gives these bits
+        assert joint_moment(3, 4).evaluate(0.7, 1.3).hex() == "0x1.2b4c8d126563bp+13"
+        assert joint_moment(12, 9).evaluate(2.5, 0.4).hex() == "0x1.68e0a056ab24ep+168"
+
+
 class TestDriver:
     def test_memoization_is_idempotent(self):
         first = joint_moment(3, 2)
@@ -155,8 +184,6 @@ class TestDriver:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             joint_moment(-1, 0)
-        with pytest.raises(ValueError):
-            joint_moment(1, 1, solver="cramer")
 
 
 class TestAgainstDensityQuadrature:
