@@ -94,7 +94,8 @@ class Poly:
         Floats run Horner in x over the coefficients c_k * mu**(k - weight).
         At tiny mu those powers leave the float range even where the value
         does not; the readout then rounds the exact value once, and raises
-        ValueError only when the value itself is beyond the float range.
+        ValueError only when the value itself is beyond the float range, or
+        when x or mu is NaN.
         """
         if isinstance(x, (int, Fraction)) and isinstance(mu, (int, Fraction)):
             if mu <= 0:
@@ -107,8 +108,10 @@ class Poly:
             return acc * muq**-self.weight
         xf = float(x)
         muf = float(mu)
-        if muf <= 0.0:
+        if not muf > 0.0:
             raise ValueError(f"mu must be positive, got {mu}")
+        if math.isnan(xf):
+            raise ValueError(f"x must be a number, got {x}")
         try:
             acc = 0.0
             for k in range(self.degree, -1, -1):

@@ -12,28 +12,39 @@ O(dt).
 
 RNG scheme v1 (do not change without bumping): path i reads its Gaussian
 increments from Philox keyed (seed, 2i) and its bridge uniforms from
-Philox keyed (seed, 2i+1), each consumed positionally from position 0,
-one uniform per scanned step.  The acceptance test is defined as
-u < exp(arg) with rejection short-circuited for arg below -745, where
-exp underflows past the subnormal floor.
+Philox keyed (seed, 2i+1), each consumed positionally from position 0:
+the uniform of step k is the double at stream position k.  The
+acceptance test is defined as u < exp(arg) with rejection short-circuited
+for arg below -745, where exp underflows past the subnormal floor.
 Draw blocks are generated here and handed to the scan kernel, so results
 are independent of backend, block sizing, and execution order: every path
 is a pure function of (config, stream_index).
 
+Uniforms are drawn only from a row's band entry on (see `kernels`): the
+bridge cannot fire on a step whose ends both lie above
+`kernels.bridge_band(dt)`, and the kernel reads no uniform there.
+Philox is counter-based (Salmon et al., SC'11), so the double at any
+position is produced without the ones before it: a row's uniform stream
+is keyed and positioned by one state write at its first band entry, and
+positioned again past any gap of at least _SKIP_MIN unread steps; shorter
+gaps are drawn through.  Every uniform the kernel reads keeps its stream
+position, so this cannot change a byte of the output.
+
 Rounds: `run` takes the paths in chunks of up to 64, and each chunk owns a
-pool of Philox generator pairs rekeyed to its paths' streams.  A round
-draws the next block of normals (and uniforms) of every path still active
-straight into that path's row of a (rows, block) array, scans all rows in
-one kernel call, finalizes the rows that crossed, and carries the running
-sum and area of the others into the next round.  The block is a fixed
-working-set budget (2^14 doubles per array, 128 KB) divided among the
-active rows, within [256, 8192] steps and never past the horizon.  This
-cannot change a byte of the output: a row reads its own streams
-positionally, so its draws are those of the one-path scan whatever the
-block lengths; the kernel treats rows independently and folds the carries
-in the same order; and the crossing arithmetic below is the scalar
-expression applied elementwise.  `simulate_path` is the same machinery on
-one row.
+pool of Philox generator pairs keyed to its paths' streams.  A round
+draws the next block of normals of every path still active straight into
+that path's row of a (rows, block) array, walks all rows in one kernel
+call, draws the uniforms of the rows that came near zero, scans those for
+bridge crossings in a second call, finalizes the rows that crossed, and
+carries the running sum and area of the others into the next round.  The
+block is a fixed working-set budget (2^14 doubles per array, 128 KB)
+divided among the active rows, within [256, 8192] steps and never past
+the horizon.  This cannot change a byte of the output: a row reads its
+own streams positionally, so its draws are those of the one-path scan
+whatever the block lengths; the kernel treats rows independently and
+folds the carries in the same order; and the crossing arithmetic below is
+the scalar expression applied elementwise.  `simulate_path` is the same
+machinery on one row.
 
 Censoring: a path that reaches max_time (default 50*x/mu) without
 crossing is returned with censored=True, excluded from estimators, and
@@ -61,7 +72,10 @@ _CHUNK_PATHS = 64
 _ROUND_BUDGET = 1 << 14
 _BLOCK_MIN = 256
 _BLOCK_MAX = 8192
-_NO_UNIFORMS = np.empty((0, 0))
+# A row's uniform stream is repositioned by one state write (~0.9 us) when
+# at least this many unread uniforms lie before the row's next band entry;
+# fewer are drawn through (~6 ns each).
+_SKIP_MIN = 128
 # glibc hands free memory at the top of the heap back to the OS once more
 # than its trim threshold (128 KB at start-up) is free there, so the
 # temporaries every round allocates and frees would be faulted back in
@@ -140,7 +154,7 @@ class HistogramDensity:
 
 
 def _generator_pool(size: int) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    """`size` (normals, uniforms) Philox generator pairs, keyed by `_rekey`."""
+    """`size` (normals, uniforms) Philox generator pairs, keyed by `_seek`."""
 
     def unkeyed() -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
@@ -148,36 +162,45 @@ def _generator_pool(size: int) -> list[tuple[np.random.Generator, np.random.Gene
     return [(unkeyed(), unkeyed()) for _ in range(size)]
 
 
-def _rekey(bitgen: np.random.Philox, seed: int, stream: int) -> None:
-    # State surgery instead of constructing a Generator per path: ~10x
-    # cheaper, and reproduces the fresh keyed stream exactly
-    # (buffer_pos = 4 marks the uint64 carry buffer empty).
-    st = bitgen.state
-    st["state"]["key"][:] = (seed, stream)
-    st["state"]["counter"][:] = 0
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bitgen.state = st
+def _seek(bitgen: np.random.Philox, seed: int, stream: int, position: int) -> int:
+    """Key `bitgen` to stream (seed, stream) at the last Philox block
+    boundary at or before `position`, and return that boundary.
+
+    One state write, no read: far cheaper than constructing a Generator
+    per path.  Philox yields 4 doubles per counter step, and counter c
+    with the buffer marked empty (buffer_pos = 4) puts the next double at
+    stream position 4c, so position 0 is the fresh keyed stream.
+    """
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (position // 4, 0, 0, 0), "key": (seed, stream)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return position - position % 4
 
 
 def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample]:
     """Paths first .. first+len(pool)-1 of the run, scanned together in rounds.
 
     Row r of every round belongs to path first+r (while it is active) and
-    to the generator pair pool[r], rekeyed here to that path's streams.
-    All active paths have consumed the same number of steps, `base`, so a
-    round is one block of the same length for every row.
+    to the generator pair pool[r], keyed here to that path's streams (the
+    uniform one at the row's first band entry).  All active paths have
+    consumed the same number of steps, `base`, so a round is one block of
+    the same length for every row.
     """
     x0 = config.params.x
     dt = config.dt
     drift = -(config.params.mu * dt)
     sqrt_dt = math.sqrt(dt)
-    use_bridge = config.bridge_correction
+    band = kernels.bridge_band(dt) if config.bridge_correction else 0.0
     max_steps = config.max_steps
-    for r, (gen_z, gen_u) in enumerate(pool):
-        _rekey(gen_z.bit_generator, config.seed, 2 * (first + r))
-        _rekey(gen_u.bit_generator, config.seed, 2 * (first + r) + 1)
+    for r, (gen_z, _) in enumerate(pool):
+        _seek(gen_z.bit_generator, config.seed, 2 * (first + r), 0)
+    # the stream position of each row's next uniform; -1 until keyed
+    u_next = [-1] * len(pool)
 
     out: list = [None] * len(pool)
     active = np.arange(len(pool))
@@ -186,15 +209,28 @@ def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample
     base = 0
     while active.size and base < max_steps:
         size = min(max(_ROUND_BUDGET // active.size, _BLOCK_MIN), _BLOCK_MAX, max_steps - base)
-        z = np.empty((active.size, size))
-        u = np.empty((active.size, size)) if use_bridge else _NO_UNIFORMS
-        for row, r in enumerate(active.tolist()):
-            gen_z, gen_u = pool[r]
-            gen_z.standard_normal(out=z[row])
-            if use_bridge:
-                gen_u.random(out=u[row])
+        rows = active.tolist()
+        z = np.empty((len(rows), size))
+        for row, r in enumerate(rows):
+            pool[r][0].standard_normal(out=z[row])
+        s, x, entry, stop = kernels.walk_rows(x0, s_carry, drift, sqrt_dt, band, z)
+        near = np.flatnonzero(entry < stop)
+        u = np.empty((len(rows), size))
+        for row, c in zip(near.tolist(), entry[near].tolist()):
+            # the uniforms of steps base + c to the block end, drawn from
+            # the stream's position `at` (at most _SKIP_MIN - 1 before)
+            r = rows[row]
+            gen_u = pool[r][1]
+            at = u_next[r]
+            if at < 0 or base + c - at >= _SKIP_MIN:
+                at = _seek(gen_u.bit_generator, config.seed, 2 * (first + r) + 1, base + c)
+            if at < base:
+                gen_u.random(base - at)  # unread, before this block
+                at = base
+            gen_u.random(out=u[row, at - base :])
+            u_next[r] = base + size
         status, j, x_before, x_after, s_before, area_before = kernels.scan_rows(
-            x0, s_carry, area_carry, drift, sqrt_dt, dt, use_bridge, z, u
+            x0, s_carry, area_carry, dt, s, x, entry, stop, u
         )
         hit = status != kernels.NO_EVENT
         if hit.any():

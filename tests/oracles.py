@@ -11,11 +11,19 @@ that (tests/test_closed_forms.py).
 `solve_explicit_inverse` solves the moment recursion by a route other than
 the shipped back substitution: the closed-form inverse of its coefficient
 matrix.
+
+`scan_rows_one_pass` is the row scan as it was before the bridge band:
+one pass over a whole block, with a uniform drawn for every step.  The
+two-phase kernels must reproduce it bit for bit while reading uniforms
+only from each row's band entry on.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from fparea.kernels import BRIDGE_HIT, BRIDGE_LOG_FLOOR, ENDPOINT_HIT
 from fparea.laurent import Poly
 
 EULER_GAMMA = 0.5772156649015328606
@@ -86,3 +94,49 @@ def solve_explicit_inverse(idx, table):
             acc += c * r[j]
         a[i] = acc
     return Poly(a, 2 * m + 3 * n)
+
+
+def scan_rows_one_pass(x0, s_carry, area_carry, drift, sqrt_dt, dt, use_bridge, z, u):
+    """Scalar one-pass scan of a (rows, steps) block; u[r, k] for every step.
+
+    Row r walks X_{k+1} = X_k + drift + sqrt_dt * z[r, k] from
+    X = x0 + s_carry[r].  A step ending at or below zero is an
+    ENDPOINT_HIT; otherwise, when use_bridge, the step is a BRIDGE_HIT with
+    probability exp(-2 X_k X_{k+1} / dt) decided by u[r, k].  Returns the
+    kernels' per-row (status, j, x_before, x_after, s_before, area_before).
+    """
+    rows, nsteps = z.shape
+    status = np.zeros(rows, dtype=np.int64)
+    index = np.empty(rows, dtype=np.int64)
+    x_before = np.empty(rows)
+    x_after = np.empty(rows)
+    s_before = np.empty(rows)
+    area_before = np.empty(rows)
+    for r in range(rows):
+        s = s_carry[r]
+        area = area_carry[r]
+        x = x0 + s
+        x_next = x
+        at = nsteps
+        for j in range(nsteps):
+            s_next = s + (drift + sqrt_dt * z[r, j])
+            x_next = x0 + s_next
+            if x_next <= 0.0:
+                status[r] = ENDPOINT_HIT
+                at = j
+                break
+            if use_bridge:
+                arg = ((-2.0 * x) * x_next) / dt
+                if arg >= BRIDGE_LOG_FLOOR and u[r, j] < np.exp(arg):
+                    status[r] = BRIDGE_HIT
+                    at = j
+                    break
+            area = area + (0.5 * (x + x_next)) * dt
+            s = s_next
+            x = x_next
+        index[r] = at
+        x_before[r] = x
+        x_after[r] = x_next
+        s_before[r] = s
+        area_before[r] = area
+    return status, index, x_before, x_after, s_before, area_before

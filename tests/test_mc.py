@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import scan_rows_one_pass
 
 from fparea import kernels, mc
 from fparea.closed_forms import (
@@ -88,17 +89,23 @@ class TestDeterminism:
             assert simulate_path(SMALL, i) == samples[i]
 
     @pytest.mark.parametrize(
-        "bridge, digest",
+        "x, mu, dt, paths, bridge, digest",
         [
-            (True, "2c91bb86e32f597a3ae117657f9c534fd648f874035d09bb88fbdfdbd6c4c77a"),
-            (False, "9fcb22800193aac635d8d35c0fd41189f5058761b3a91817c54e20ff644b3fe5"),
+            (1.0, 1.0, 1e-3, 500, True, "2c91bb86e32f597a3ae117657f9c534fd648f874035d09bb88fbdfdbd6c4c77a"),
+            (1.0, 1.0, 1e-3, 500, False, "9fcb22800193aac635d8d35c0fd41189f5058761b3a91817c54e20ff644b3fe5"),
+            # rows far from zero for many rounds, then entering the bridge band
+            (10.0, 0.5, 1e-3, 130, True, "ac765a0a1022c47e6de4721f4c122bdc5e652ed532bd8465ded8df0269c404a6"),
+            # rows inside the band from column 0 of round 0
+            (0.3, 1.0, 1e-3, 200, True, "347a20dbdf6a7840e635a9de40c1882022cd57538b8d1da3be4e456def88c0d0"),
+            # a band (1.93) wider than x
+            (1.0, 1.0, 1e-2, 200, True, "ba664ca8290c2d30bf5b38c59d041c8ed4c5ab7c95e697827d7cd6385a223775"),
         ],
-        ids=["bridge", "no-bridge"],
+        ids=["bridge", "no-bridge", "x10", "x0.3", "dt1e-2"],
     )
-    def test_pinned_csv_bytes(self, bridge, digest):
-        # the CSV of 500 paths (eight chunks, the last one partial) as RNG
-        # scheme v1 and the one-path-per-call scan first wrote it
-        cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=500, seed=4, bridge_correction=bridge)
+    def test_pinned_csv_bytes(self, x, mu, dt, paths, bridge, digest):
+        # the CSVs as RNG scheme v1 and the one-path-per-call scan first
+        # wrote them (500 paths are eight chunks, the last one partial)
+        cfg = SimConfig(ModelParams(x=x, mu=mu), dt=dt, paths=paths, seed=4, bridge_correction=bridge)
         buf = io.StringIO()
         write_samples_csv(run(cfg), buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
@@ -117,6 +124,7 @@ class TestDeterminism:
         for sizing in (
             {"_CHUNK_PATHS": 1},  # one row per chunk
             {"_BLOCK_MIN": 7, "_BLOCK_MAX": 7},  # 7-step blocks
+            {"_BLOCK_MIN": 7, "_BLOCK_MAX": 7, "_SKIP_MIN": 4},  # seek past gaps of 4 uniforms
             {"_CHUNK_PATHS": 7, "_ROUND_BUDGET": 40, "_BLOCK_MIN": 3},  # 7 does not divide 25
         ):
             with monkeypatch.context() as patch:
@@ -146,17 +154,19 @@ class TestDeterminism:
 
 
 BACKENDS = [
-    pytest.param(kernels.scan_rows_reference, id="reference"),
-    pytest.param(kernels.scan_rows_numpy, id="numpy"),
+    pytest.param((kernels.walk_rows_reference, kernels.scan_rows_reference), id="reference"),
+    pytest.param((kernels.walk_rows_numpy, kernels.scan_rows_numpy), id="numpy"),
 ]
 if kernels.HAS_NUMBA:
-    BACKENDS.append(pytest.param(kernels.scan_rows_compiled, id="numba"))
+    BACKENDS.append(pytest.param((kernels.walk_rows_compiled, kernels.scan_rows_compiled), id="numba"))
 
 
 def _random_rows(rng, rows, nsteps):
-    """Per-row carries and draws, with a row hit at j = 0 and a row never hit."""
+    """Per-row carries and draws: a row hit at j = 0, a row never near zero,
+    and a row stepping in and out of the bridge band every few steps."""
     x0 = float(rng.uniform(0.02, 2.0))
     dt = float(rng.choice([1e-3, 1e-2, 0.1, 1.0]))
+    drift, sqrt_dt = -0.5 * dt, math.sqrt(dt)
     s_carry = rng.normal(scale=0.2, size=rows)
     s_carry[x0 + s_carry <= 0] = 0.0
     area_carry = rng.uniform(0.0, 3.0, size=rows)
@@ -169,44 +179,97 @@ def _random_rows(rng, rows, nsteps):
         # the last row starts far above zero and rises every step
         s_carry[-1] = 1e3
         z[-1] = np.abs(z[-1]) + 3.0
-    return (x0, s_carry, area_carry, -0.5 * dt, math.sqrt(dt), dt), z, u
+    if rows > 2:
+        # row 1 alternates runs of `period` steps at 3 and at 1/2 bands
+        band = kernels.bridge_band(dt)
+        period = int(rng.integers(1, 6))
+        level = np.where(np.arange(-1, nsteps) // period % 2 == 0, 3.0, 0.5) * band
+        s_carry[1] = level[0] - x0
+        z[1] = (np.diff(level) - drift) / sqrt_dt
+    return (x0, s_carry, area_carry, drift, sqrt_dt, dt), z, u
 
 
 def _bitwise(result):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in result]
 
 
+def _split_scan(backend, head, bridge, z, u):
+    """One block through a backend's two phases.  Only the uniforms the
+    driver would draw (rows with entry < stop, from entry on) are passed;
+    every other slot holds -1.0, which any read would turn into a hit."""
+    walk, scan = backend
+    x0, s_carry, area_carry, drift, sqrt_dt, dt = head
+    band = kernels.bridge_band(dt) if bridge else 0.0
+    walked = walk(x0, s_carry, drift, sqrt_dt, band, z)
+    s, x, entry, stop = walked
+    drawn = np.full(z.shape, -1.0)
+    for r in np.flatnonzero(entry < stop):
+        drawn[r, entry[r] :] = u[r, entry[r] :]
+    return walked, scan(x0, s_carry, area_carry, dt, s, x, entry, stop, drawn)
+
+
 class TestBackends:
-    @pytest.mark.parametrize("scan", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("bridge", [True, False])
-    def test_samples_bitwise_identical(self, monkeypatch, scan, bridge):
+    def test_samples_bitwise_identical(self, monkeypatch, backend, bridge):
         cfg = SimConfig(ModelParams(x=1.0, mu=0.8), dt=1e-3, paths=40, seed=11, bridge_correction=bridge)
         want = run(cfg)
-        monkeypatch.setattr(kernels, "scan_rows", scan)
+        monkeypatch.setattr(kernels, "walk_rows", backend[0])
+        monkeypatch.setattr(kernels, "scan_rows", backend[1])
         assert run(cfg) == want
 
-    @pytest.mark.parametrize("scan", BACKENDS)
-    def test_kernel_contract_on_random_blocks(self, scan):
-        # same (rows, steps) draws and per-row carries through every backend
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kernel_contract_on_random_blocks(self, backend):
+        # two consecutive blocks of random draws through the split kernels,
+        # against the one-pass scan of both blocks as one
         rng = np.random.default_rng(2024)
         seen = set()
         for _ in range(60):
             rows = int(rng.integers(1, 9))
-            nsteps = int(rng.integers(1, 50))
-            head, z, u = _random_rows(rng, rows, nsteps)
+            n1, n2 = (int(n) for n in rng.integers(1, 50, size=2))
+            head, z, u = _random_rows(rng, rows, n1 + n2)
+            x0, s_carry, area_carry, drift, sqrt_dt, dt = head
+            band = kernels.bridge_band(dt)
             for bridge in (True, False):
-                args = (*head, bridge, z, u if bridge else np.empty((0, 0)))
-                want = kernels.scan_rows_reference(*args)
-                assert _bitwise(scan(*args)) == _bitwise(want)
+                want = scan_rows_one_pass(*head, bridge, z, u)
+                walk1, got1 = _split_scan(backend, head, bridge, z[:, :n1], u[:, :n1])
+                head2 = (x0, got1[4], got1[5], drift, sqrt_dt, dt)
+                walk2, got2 = _split_scan(backend, head2, bridge, z[:, n1:], u[:, n1:])
+                on = got1[0] != kernels.NO_EVENT
+                got = [np.where(on, a1, a2) for a1, a2 in zip(got1, got2)]
+                got[1] = np.where(on, got1[1], n1 + got2[1])
+                assert _bitwise(got) == _bitwise(want)
                 status, j = want[0], want[1]
                 assert status[0] == kernels.ENDPOINT_HIT and j[0] == 0
                 seen.update(zip(status.tolist(), (j == 0).tolist(), [bridge] * rows))
+                if not bridge:
+                    # a band of 0: no step starts at zero, so entry is stop
+                    assert all(np.array_equal(w[2], w[3]) for w in (walk1, walk2))
+                    continue
+                entries = []
+                for (s, x, entry, stop), x_start in ((walk1, s_carry + x0), (walk2, got1[4] + x0)):
+                    # the band is necessary: no live bridge lane before entry
+                    x_prev = np.column_stack([x_start, x[:, :-1]])
+                    arg = ((-2.0 * x_prev) * x) / dt
+                    before = np.arange(x.shape[1]) < entry[:, None]
+                    assert not (arg >= kernels.BRIDGE_LOG_FLOOR)[before].any()
+                    seen.add(("never", bool((entry == x.shape[1]).any())))
+                    if rows > 2:
+                        # the times row 1 came into the band in this block
+                        inside = np.concatenate([[x_start[1]], x[1]]) <= band
+                        entries.append(int(inside[0]) + int((~inside[:-1] & inside[1:]).sum()))
+                if rows > 2 and not on[1]:
+                    seen.add(("re-entry", max(entries) >= 2))
+                    # row 1 left the band in block 1 and came back in block 2
+                    out_at_end = walk1[1][1, -1] > band
+                    seen.add(("boundary", bool(entries[0] and out_at_end and entries[1])))
         # every outcome occurred: hits at j = 0 and later, and rows without
         # a hit, with the bridge on and off
         for bridge in (True, False):
             assert (kernels.NO_EVENT, False, bridge) in seen
             assert (kernels.ENDPOINT_HIT, False, bridge) in seen
         assert {(kernels.BRIDGE_HIT, True, True), (kernels.BRIDGE_HIT, False, True)} <= seen
+        assert {("re-entry", True), ("boundary", True), ("never", True)} <= seen
 
     def test_backend_name_reports(self):
         assert kernels.backend_name() in ("numba", "numpy")

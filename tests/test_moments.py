@@ -160,6 +160,13 @@ class TestStructureLaws:
         with pytest.raises(ValueError, match="exceeds the float range"):
             joint_moment(7, 7).evaluate(1, 1e-20)
 
+    def test_float_readout_rejects_nan(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="^x must be a number, got nan$"):
+            joint_moment(2, 1).evaluate(nan, 1.0)
+        with pytest.raises(ValueError, match="^mu must be positive, got nan$"):
+            joint_moment(2, 1).evaluate(1.0, nan)
+
 
 class TestPinnedBytes:
     """Moment texts and float readouts, pinned bit for bit."""
