@@ -130,7 +130,12 @@ def rho_exact(gamma: float) -> float:
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     g = gamma
-    return math.sqrt((3.0 * g * g + 12.0 * g + 12.0) / (4.0 * g * g + 12.0 * g + 15.0))
+    den = 4.0 * g * g + 12.0 * g + 15.0
+    if math.isinf(den):
+        # past gamma ~ 6.7e153 (and at infinity) 4 g^2 leaves the float
+        # range; divided through by g^2 the ratio is 3/4 to within 1e-153
+        return RHO_LIMIT_LARGE_DRIFT
+    return math.sqrt((3.0 * g * g + 12.0 * g + 12.0) / den)
 
 
 def w_joint(params: ModelParams, lambda1: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -92,8 +93,9 @@ class Poly:
         """Readout at (x, mu), mu > 0; exact when both are int or Fraction.
 
         Floats run Horner in x over the coefficients c_k * mu**(k - weight).
-        At tiny mu those powers leave the float range even where the value
-        does not; the readout then rounds the exact value once, and raises
+        At tiny or huge mu those powers overflow, or underflow below the
+        normal range, even where the value does not; the readout then
+        rounds the exact value once, and raises
         ValueError only when the value itself is beyond the float range, or
         when x or mu is NaN.
         """
@@ -116,9 +118,16 @@ class Poly:
             acc = 0.0
             for k in range(self.degree, -1, -1):
                 c = self.coeffs[k]
-                acc = acc * xf + (float(c) * muf ** (k - self.weight) if c else 0)
-            if math.isfinite(acc):
-                return acc
+                term = 0
+                if c:
+                    power = muf ** (k - self.weight)
+                    if power < sys.float_info.min:
+                        break  # underflowed: the term would read as 0 or lose bits
+                    term = float(c) * power
+                acc = acc * xf + term
+            else:
+                if math.isfinite(acc):
+                    return acc
         except OverflowError:
             pass
         try:

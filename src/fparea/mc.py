@@ -33,10 +33,13 @@ position, so this cannot change a byte of the output.
 Rounds: `run` takes the paths in chunks of up to 64, and each chunk owns a
 pool of Philox generator pairs keyed to its paths' streams.  A round
 draws the next block of normals of every path still active straight into
-that path's row of a (rows, block) array, walks all rows in one kernel
-call, draws the uniforms of the rows that came near zero, scans those for
-bridge crossings in a second call, finalizes the rows that crossed, and
-carries the running sum and area of the others into the next round.  The
+columns 1.. of that path's row of a (rows, block+1) array, column 0 being
+the slot of the row's carries (see `kernels`).  It walks all rows in one
+kernel call, draws the uniforms of the rows that came near zero, and
+scans those for bridge crossings in a second call, which returns the
+crossing step of each row.  The rows that crossed are finalized from the
+positions and area gathered from the walk at that step; the others carry
+the running sum and area of the last column into the next round.  The
 block is a fixed working-set budget (2^14 doubles per array, 128 KB)
 divided among the active rows, within [256, 8192] steps and never past
 the horizon.  This cannot change a byte of the output: a row reads its
@@ -117,6 +120,8 @@ class SimConfig:
             object.__setattr__(self, "max_time", 50.0 * self.params.x / self.params.mu)
         elif not self.max_time > 0:
             raise ValueError(f"max_time must be positive, got {self.max_time}")
+        if not (math.isfinite(self.max_time) and math.isfinite(self.max_time / self.dt)):
+            raise ValueError(f"the horizon max_time/dt = {self.max_time:g}/{self.dt:g} must be finite")
 
     @property
     def max_steps(self) -> int:
@@ -210,10 +215,10 @@ def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample
     while active.size and base < max_steps:
         size = min(max(_ROUND_BUDGET // active.size, _BLOCK_MIN), _BLOCK_MAX, max_steps - base)
         rows = active.tolist()
-        z = np.empty((len(rows), size))
+        z = np.empty((len(rows), size + 1))
         for row, r in enumerate(rows):
-            pool[r][0].standard_normal(out=z[row])
-        s, x, entry, stop = kernels.walk_rows(x0, s_carry, drift, sqrt_dt, band, z)
+            pool[r][0].standard_normal(out=z[row, 1:])
+        s, x, area, entry, stop = kernels.walk_rows(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z)
         near = np.flatnonzero(entry < stop)
         u = np.empty((len(rows), size))
         for row, c in zip(near.tolist(), entry[near].tolist()):
@@ -229,32 +234,30 @@ def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample
                 at = base
             gen_u.random(out=u[row, at - base :])
             u_next[r] = base + size
-        status, j, x_before, x_after, s_before, area_before = kernels.scan_rows(
-            x0, s_carry, area_carry, dt, s, x, entry, stop, u
-        )
-        hit = status != kernels.NO_EVENT
+        j = kernels.scan_rows(dt, x, entry, stop, u)
+        hit = j < size
         if hit.any():
-            k = base + j[hit]
+            r_hit, j_hit = np.flatnonzero(hit), j[hit]
+            k = base + j_hit
             t_k = k * dt
-            x_before, x_after, area_hit = x_before[hit], x_after[hit], area_before[hit]
+            x_before, x_after, area_hit = x[r_hit, j_hit], x[r_hit, j_hit + 1], area[r_hit, j_hit]
             # bridge hits: the step midpoint and half the step's trapezoid;
             # the endpoint hits among them are overwritten next
             tau = t_k + 0.5 * dt
-            area = area_hit + 0.25 * (x_before + x_after) * dt
-            endpoint = status[hit] == kernels.ENDPOINT_HIT
+            area_end = area_hit + 0.25 * (x_before + x_after) * dt
+            endpoint = j_hit == stop[hit]
             # x_before > 0 >= x_after, so the interpolation fraction is in (0, 1]
             xb, xa = x_before[endpoint], x_after[endpoint]
             frac = xb / (xb - xa)
             tau[endpoint] = t_k[endpoint] + frac * dt
-            area[endpoint] = area_hit[endpoint] + 0.5 * xb * (frac * dt)
-            for r, t, a, steps in zip(active[hit].tolist(), tau.tolist(), area.tolist(), (k + 1).tolist()):
+            area_end[endpoint] = area_hit[endpoint] + 0.5 * xb * (frac * dt)
+            for r, t, a, steps in zip(active[hit].tolist(), tau.tolist(), area_end.tolist(), (k + 1).tolist()):
                 out[r] = PassageSample(t, a, steps, False)
-            live = ~hit
-            active, s_before, area_before = active[live], s_before[live], area_before[live]
-        s_carry, area_carry = s_before, area_before
+        live = ~hit
+        active, s_carry, area_carry = active[live], s[live, -1], area[live, -1]
         base += size
-    for r, area in zip(active.tolist(), area_carry.tolist()):
-        out[r] = PassageSample(max_steps * dt, area, max_steps, True)
+    for r, a in zip(active.tolist(), area_carry.tolist()):
+        out[r] = PassageSample(max_steps * dt, a, max_steps, True)
     return out
 
 

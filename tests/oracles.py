@@ -13,9 +13,10 @@ the shipped back substitution: the closed-form inverse of its coefficient
 matrix.
 
 `scan_rows_one_pass` is the row scan as it was before the bridge band:
-one pass over a whole block, with a uniform drawn for every step.  The
-two-phase kernels must reproduce it bit for bit while reading uniforms
-only from each row's band entry on.
+one pass over a whole block, with a uniform drawn for every step, and a
+status code and the crossing state returned per row.  The two-phase
+kernels must reproduce it bit for bit while reading uniforms only from
+each row's band entry on.
 """
 
 import math
@@ -23,10 +24,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from fparea.kernels import BRIDGE_HIT, BRIDGE_LOG_FLOOR, ENDPOINT_HIT
+from fparea.kernels import BRIDGE_LOG_FLOOR
 from fparea.laurent import Poly
 
 EULER_GAMMA = 0.5772156649015328606
+
+# per-row outcome of `scan_rows_one_pass`
+NO_EVENT = 0
+ENDPOINT_HIT = 1
+BRIDGE_HIT = 2
 
 
 def exp1_scaled(z: float) -> float:
@@ -102,8 +108,10 @@ def scan_rows_one_pass(x0, s_carry, area_carry, drift, sqrt_dt, dt, use_bridge, 
     Row r walks X_{k+1} = X_k + drift + sqrt_dt * z[r, k] from
     X = x0 + s_carry[r].  A step ending at or below zero is an
     ENDPOINT_HIT; otherwise, when use_bridge, the step is a BRIDGE_HIT with
-    probability exp(-2 X_k X_{k+1} / dt) decided by u[r, k].  Returns the
-    kernels' per-row (status, j, x_before, x_after, s_before, area_before).
+    probability exp(-2 X_k X_{k+1} / dt) decided by u[r, k].  Returns per
+    row (status, j, x_before, x_after, s_before, area_before): j is the
+    in-block step of the hit and the s/area values exclude it; on
+    NO_EVENT, j is the block length and the rest the end-of-block state.
     """
     rows, nsteps = z.shape
     status = np.zeros(rows, dtype=np.int64)

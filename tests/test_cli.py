@@ -68,11 +68,21 @@ class TestMoment:
         assert label == "value"
         assert float(value) == float(exact)
         assert 1e257 < float(value) < 1e258
+        # mu**-4 underflows, the moment does not
+        code, out, _ = run_cli(
+            capsys, "moment", "--m", "1", "--n", "1", "--x", "1e200", "--mu", "1e200"
+        )
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[1]) == 5e199
 
     def test_readout_out_of_float_range(self, capsys):
-        for x, mu in (("1", "1e-20"), ("1e300", "1")):
+        for m, n, x, mu in (
+            ("7", "7", "1", "1e-20"),
+            ("7", "7", "1e300", "1"),
+            ("2", "3", "1e120", "1e120"),  # the powers underflow, the value overflows
+        ):
             code, out, err = run_cli(
-                capsys, "moment", "--m", "7", "--n", "7", "--x", x, "--mu", mu
+                capsys, "moment", "--m", m, "--n", n, "--x", x, "--mu", mu
             )
             assert code == 2
             assert out == ""
@@ -190,6 +200,10 @@ class TestSimulate:
         assert code == 2
         code, _, _ = run_cli(capsys, "simulate", "--x", "1", "--mu", "1", "--dt", "0")
         assert code == 2
+        # the default horizon 50*x/mu overflows
+        code, _, err = run_cli(capsys, "simulate", "--x", "1", "--mu", "1e-320", "--paths", "2")
+        assert code == 2
+        assert "error:" in err and "must be finite" in err
 
 
 class TestDensity:

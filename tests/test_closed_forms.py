@@ -137,6 +137,9 @@ class TestCorrelation:
     def test_limits(self):
         np.testing.assert_allclose(rho_exact(1e-9), RHO_LIMIT_ZERO_DRIFT, atol=1e-9)
         np.testing.assert_allclose(rho_exact(1e9), RHO_LIMIT_LARGE_DRIFT, atol=1e-8)
+        # 4 gamma^2 overflows a double from about 6.7e153 on
+        for g in (7e153, 1e160, math.inf):
+            assert rho_exact(g) == RHO_LIMIT_LARGE_DRIFT
 
     def test_unimodal_with_peak_at_three_halves(self):
         rising = np.array([rho_exact(g) for g in np.linspace(1e-4, 1.4999, 120)])

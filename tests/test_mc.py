@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import scan_rows_one_pass
+from oracles import BRIDGE_HIT, ENDPOINT_HIT, NO_EVENT, scan_rows_one_pass
 
 from fparea import kernels, mc
 from fparea.closed_forms import (
@@ -57,6 +57,12 @@ class TestConfig:
         cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=0.3, paths=1, seed=0, max_time=1.0)
         assert cfg.max_steps == 4
 
+    def test_default_horizon_must_be_finite(self):
+        # 50*x/mu overflows to inf
+        for x, mu in ((1.0, 1e-320), (1e308, 1e-10)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SimConfig(ModelParams(x=x, mu=mu), dt=1e-3, paths=1, seed=0)
+
     def test_zero_drift_needs_explicit_horizon(self):
         with pytest.raises(ValueError):
             SimConfig(ModelParams(x=1.0, mu=0.0), dt=1e-3, paths=1, seed=0)
@@ -73,6 +79,7 @@ class TestConfig:
             ("seed", -1),
             ("seed", 2**64),
             ("max_time", -5.0),
+            ("max_time", math.inf),
         ]:
             with pytest.raises(ValueError):
                 SimConfig(**{**good, field: value})
@@ -193,19 +200,29 @@ def _bitwise(result):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in result]
 
 
-def _split_scan(backend, head, bridge, z, u):
-    """One block through a backend's two phases.  Only the uniforms the
-    driver would draw (rows with entry < stop, from entry on) are passed;
-    every other slot holds -1.0, which any read would turn into a hit."""
+def _split_scan(backend, x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z, u):
+    """One block through a backend's two phases, as the driver runs it.
+
+    The normals go into columns 1.. of the block; column 0 holds NaN,
+    which a walk that read it would carry into every result.  Only the
+    uniforms the driver would draw (rows with entry < stop, from entry on)
+    are passed; every other slot holds -1.0, which any read would turn
+    into a hit.  Returns the walk and, gathered from it at the scanned
+    column, the per-row tuple of `scan_rows_one_pass`.
+    """
     walk, scan = backend
-    x0, s_carry, area_carry, drift, sqrt_dt, dt = head
-    band = kernels.bridge_band(dt) if bridge else 0.0
-    walked = walk(x0, s_carry, drift, sqrt_dt, band, z)
-    s, x, entry, stop = walked
+    rows, size = z.shape
+    block = np.full((rows, size + 1), np.nan)
+    block[:, 1:] = z
+    walked = walk(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, block)
+    s, x, area, entry, stop = walked
     drawn = np.full(z.shape, -1.0)
     for r in np.flatnonzero(entry < stop):
         drawn[r, entry[r] :] = u[r, entry[r] :]
-    return walked, scan(x0, s_carry, area_carry, dt, s, x, entry, stop, drawn)
+    j = scan(dt, x, entry, stop, drawn)
+    status = np.where(j == size, NO_EVENT, np.where(j == stop, ENDPOINT_HIT, BRIDGE_HIT))
+    r = np.arange(rows)
+    return walked, (status, j, x[r, j], x[r, np.minimum(j + 1, size)], s[r, j], area[r, j])
 
 
 class TestBackends:
@@ -221,7 +238,8 @@ class TestBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_kernel_contract_on_random_blocks(self, backend):
         # two consecutive blocks of random draws through the split kernels,
-        # against the one-pass scan of both blocks as one
+        # the rows still running carried from the last column of the first
+        # into the second, against the one-pass scan of both blocks as one
         rng = np.random.default_rng(2024)
         seen = set()
         for _ in range(60):
@@ -229,36 +247,41 @@ class TestBackends:
             n1, n2 = (int(n) for n in rng.integers(1, 50, size=2))
             head, z, u = _random_rows(rng, rows, n1 + n2)
             x0, s_carry, area_carry, drift, sqrt_dt, dt = head
-            band = kernels.bridge_band(dt)
             for bridge in (True, False):
+                band = kernels.bridge_band(dt) if bridge else 0.0
                 want = scan_rows_one_pass(*head, bridge, z, u)
-                walk1, got1 = _split_scan(backend, head, bridge, z[:, :n1], u[:, :n1])
-                head2 = (x0, got1[4], got1[5], drift, sqrt_dt, dt)
-                walk2, got2 = _split_scan(backend, head2, bridge, z[:, n1:], u[:, n1:])
-                on = got1[0] != kernels.NO_EVENT
-                got = [np.where(on, a1, a2) for a1, a2 in zip(got1, got2)]
-                got[1] = np.where(on, got1[1], n1 + got2[1])
+                walk1, got1 = _split_scan(
+                    backend, x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z[:, :n1], u[:, :n1]
+                )
+                live = np.flatnonzero(got1[0] == NO_EVENT)
+                s_end, area_end = walk1[0][live, -1], walk1[2][live, -1]
+                walk2, got2 = _split_scan(
+                    backend, x0, s_end, area_end, drift, sqrt_dt, dt, band, z[live, n1:], u[live, n1:]
+                )
+                got = [a.copy() for a in got1]
+                for a1, a2 in zip(got, got2):
+                    a1[live] = a2
+                got[1][live] += n1
                 assert _bitwise(got) == _bitwise(want)
                 status, j = want[0], want[1]
-                assert status[0] == kernels.ENDPOINT_HIT and j[0] == 0
+                assert status[0] == ENDPOINT_HIT and j[0] == 0
                 seen.update(zip(status.tolist(), (j == 0).tolist(), [bridge] * rows))
                 if not bridge:
                     # a band of 0: no step starts at zero, so entry is stop
-                    assert all(np.array_equal(w[2], w[3]) for w in (walk1, walk2))
+                    assert all(np.array_equal(w[3], w[4]) for w in (walk1, walk2))
                     continue
                 entries = []
-                for (s, x, entry, stop), x_start in ((walk1, s_carry + x0), (walk2, got1[4] + x0)):
+                for (s, x, area, entry, stop), row1 in ((walk1, [1]), (walk2, np.flatnonzero(live == 1))):
                     # the band is necessary: no live bridge lane before entry
-                    x_prev = np.column_stack([x_start, x[:, :-1]])
-                    arg = ((-2.0 * x_prev) * x) / dt
-                    before = np.arange(x.shape[1]) < entry[:, None]
+                    arg = ((-2.0 * x[:, :-1]) * x[:, 1:]) / dt
+                    before = np.arange(x.shape[1] - 1) < entry[:, None]
                     assert not (arg >= kernels.BRIDGE_LOG_FLOOR)[before].any()
-                    seen.add(("never", bool((entry == x.shape[1]).any())))
-                    if rows > 2:
+                    seen.add(("never", bool((entry == x.shape[1] - 1).any())))
+                    if rows > 2 and len(row1):
                         # the times row 1 came into the band in this block
-                        inside = np.concatenate([[x_start[1]], x[1]]) <= band
+                        inside = x[row1[0]] <= band
                         entries.append(int(inside[0]) + int((~inside[:-1] & inside[1:]).sum()))
-                if rows > 2 and not on[1]:
+                if rows > 2 and 1 in live:
                     seen.add(("re-entry", max(entries) >= 2))
                     # row 1 left the band in block 1 and came back in block 2
                     out_at_end = walk1[1][1, -1] > band
@@ -266,9 +289,9 @@ class TestBackends:
         # every outcome occurred: hits at j = 0 and later, and rows without
         # a hit, with the bridge on and off
         for bridge in (True, False):
-            assert (kernels.NO_EVENT, False, bridge) in seen
-            assert (kernels.ENDPOINT_HIT, False, bridge) in seen
-        assert {(kernels.BRIDGE_HIT, True, True), (kernels.BRIDGE_HIT, False, True)} <= seen
+            assert (NO_EVENT, False, bridge) in seen
+            assert (ENDPOINT_HIT, False, bridge) in seen
+        assert {(BRIDGE_HIT, True, True), (BRIDGE_HIT, False, True)} <= seen
         assert {("re-entry", True), ("boundary", True), ("never", True)} <= seen
 
     def test_backend_name_reports(self):

@@ -155,10 +155,15 @@ class TestStructureLaws:
         value = poly.evaluate(1e-100, 1e-10)
         assert value == float(poly.evaluate(F(1e-100), F(1e-10)))
         assert value == 1.3721863034879983e257
+        # at mu = 1e200 the powers mu**-2 .. mu**-4 underflow to 0
+        assert joint_moment(1, 1).evaluate(1e200, 1e200) == 5e199
 
     def test_float_readout_beyond_float_range(self):
         with pytest.raises(ValueError, match="exceeds the float range"):
             joint_moment(7, 7).evaluate(1, 1e-20)
+        # the powers underflow and the value overflows
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            joint_moment(2, 3).evaluate(1e120, 1e120)
 
     def test_float_readout_rejects_nan(self):
         nan = float("nan")
