@@ -30,24 +30,30 @@ positioned again past any gap of at least _SKIP_MIN unread steps; shorter
 gaps are drawn through.  Every uniform the kernel reads keeps its stream
 position, so this cannot change a byte of the output.
 
-Rounds: `run` takes the paths in chunks of up to 64, and each chunk owns a
-pool of Philox generator pairs keyed to its paths' streams.  A round
-draws the next block of normals of every path still active straight into
-columns 1.. of that path's row of a (rows, block+1) array, column 0 being
-the slot of the row's carries (see `kernels`).  It walks all rows in one
-kernel call, draws the uniforms of the rows that came near zero, and
-scans those for bridge crossings in a second call, which returns the
-crossing step of each row.  The rows that crossed are finalized from the
-positions and area gathered from the walk at that step; the others carry
-the running sum and area of the last column into the next round.  The
-block is a fixed working-set budget (2^14 doubles per array, 128 KB)
-divided among the active rows, within [256, 8192] steps and never past
-the horizon.  This cannot change a byte of the output: a row reads its
-own streams positionally, so its draws are those of the one-path scan
-whatever the block lengths; the kernel treats rows independently and
-folds the carries in the same order; and the crossing arithmetic below is
-the scalar expression applied elementwise.  `simulate_path` is the same
-machinery on one row.
+Rounds: `run` scans all its paths in one pass over a fixed pool of up to
+64 row slots, each owning a Philox generator pair.  A slot holds one path
+at a time; when its path crosses or reaches the horizon, it takes the next
+unstarted path at once, its normal stream keyed by one state write and its
+carries reset to zero, so every round scans a full block until the paths
+run out.  Each slot keeps its own `base`, the steps its path has consumed,
+and so its own horizon, max_steps - base.  A round draws the next block of
+normals of every slot straight into columns 1.. of that slot's row of a
+(rows, block+1) array, column 0 holding the row's carries (see
+`kernels`).  It walks all rows in one kernel call, draws the uniforms of
+the rows that came near zero, and scans those for bridge crossings in a
+second call, which returns the crossing step of each row.  A crossing
+counts only before the row's horizon; a row whose horizon falls within the
+block without one is censored there.  The rows that crossed are finalized
+from the positions and area gathered from the walk at that step; the
+others carry the running sum and area of the last column into the next
+round.  The block is a fixed working-set budget (2^15 doubles per array,
+256 KB) divided among the rows, within [256, 8192] steps and never past
+the furthest horizon.  This cannot change a byte of the output: a row
+reads its own streams positionally, so its draws are those of the
+one-path scan whatever the block lengths or the paths beside it; the
+kernel treats rows independently and folds the carries in the same order;
+and the crossing arithmetic below is the scalar expression applied
+elementwise.  `simulate_path` is the same pass over one path in one slot.
 
 Censoring: a path that reaches max_time (default 50*x/mu) without
 crossing is returned with censored=True, excluded from estimators, and
@@ -67,12 +73,13 @@ from . import kernels
 from .closed_forms import ModelParams
 
 # Round sizing (see the module docstring): the block is _ROUND_BUDGET
-# draws divided among the active rows of a chunk of _CHUNK_PATHS paths,
-# within [_BLOCK_MIN, _BLOCK_MAX].  Short blocks while many paths are live
-# waste few draws past their crossings; long blocks once few are left keep
-# the per-call overhead down.  Sizing is invisible in the results.
+# draws divided among the rows of at most _CHUNK_PATHS slots, within
+# [_BLOCK_MIN, _BLOCK_MAX].  Refilled slots stay full, so the block stays
+# short and wastes few draws past each crossing until the paths run out;
+# then it lengthens as the last rows leave, keeping the per-call overhead
+# down.  Sizing is invisible in the results.
 _CHUNK_PATHS = 64
-_ROUND_BUDGET = 1 << 14
+_ROUND_BUDGET = 1 << 15
 _BLOCK_MIN = 256
 _BLOCK_MAX = 8192
 # A row's uniform stream is repositioned by one state write (~0.9 us) when
@@ -108,8 +115,8 @@ class SimConfig:
     max_time: Optional[float] = None
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.paths < 1:
             raise ValueError(f"paths must be at least 1, got {self.paths}")
         if not 0 <= self.seed < 2**64:
@@ -187,14 +194,15 @@ def _seek(bitgen: np.random.Philox, seed: int, stream: int, position: int) -> in
     return position - position % 4
 
 
-def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample]:
-    """Paths first .. first+len(pool)-1 of the run, scanned together in rounds.
+def _scan_paths(config: SimConfig, first: int, count: int, slots: int) -> list[PassageSample]:
+    """Paths first .. first+count-1 of the run, scanned in one pass over at
+    most `slots` rows.
 
-    Row r of every round belongs to path first+r (while it is active) and
-    to the generator pair pool[r], keyed here to that path's streams (the
-    uniform one at the row's first band entry).  All active paths have
-    consumed the same number of steps, `base`, so a round is one block of
-    the same length for every row.
+    Row r of a round holds path first+path[r], which has consumed base[r]
+    steps, and the generator pair gens[r], keyed here to that path's
+    streams (the uniform one at the row's first band entry).  A row whose
+    path crosses or reaches the horizon takes the next unstarted path at
+    once, with base and carries zero; rows leave only when none is left.
     """
     x0 = config.params.x
     dt = config.dt
@@ -202,43 +210,45 @@ def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample
     sqrt_dt = math.sqrt(dt)
     band = kernels.bridge_band(dt) if config.bridge_correction else 0.0
     max_steps = config.max_steps
-    for r, (gen_z, _) in enumerate(pool):
+    gens = _generator_pool(min(slots, count))
+    for r, (gen_z, _) in enumerate(gens):
         _seek(gen_z.bit_generator, config.seed, 2 * (first + r), 0)
+    path = np.arange(len(gens))
+    base = np.zeros(len(gens), dtype=np.int64)
     # the stream position of each row's next uniform; -1 until keyed
-    u_next = [-1] * len(pool)
+    u_next = [-1] * len(gens)
+    s_carry = np.zeros(len(gens))
+    area_carry = np.zeros(len(gens))
+    started = len(gens)
 
-    out: list = [None] * len(pool)
-    active = np.arange(len(pool))
-    s_carry = np.zeros(len(pool))
-    area_carry = np.zeros(len(pool))
-    base = 0
-    while active.size and base < max_steps:
-        size = min(max(_ROUND_BUDGET // active.size, _BLOCK_MIN), _BLOCK_MAX, max_steps - base)
-        rows = active.tolist()
-        z = np.empty((len(rows), size + 1))
-        for row, r in enumerate(rows):
-            pool[r][0].standard_normal(out=z[row, 1:])
+    out: list = [None] * count
+    while path.size:
+        limit = max_steps - base
+        size = min(max(_ROUND_BUDGET // path.size, _BLOCK_MIN), _BLOCK_MAX, int(limit.max()))
+        z = np.empty((path.size, size + 1))
+        for row, (gen_z, _) in enumerate(gens):
+            gen_z.standard_normal(out=z[row, 1:])
         s, x, area, entry, stop = kernels.walk_rows(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z)
         near = np.flatnonzero(entry < stop)
-        u = np.empty((len(rows), size))
-        for row, c in zip(near.tolist(), entry[near].tolist()):
-            # the uniforms of steps base + c to the block end, drawn from
-            # the stream's position `at` (at most _SKIP_MIN - 1 before)
-            r = rows[row]
-            gen_u = pool[r][1]
-            at = u_next[r]
-            if at < 0 or base + c - at >= _SKIP_MIN:
-                at = _seek(gen_u.bit_generator, config.seed, 2 * (first + r) + 1, base + c)
-            if at < base:
-                gen_u.random(base - at)  # unread, before this block
-                at = base
-            gen_u.random(out=u[row, at - base :])
-            u_next[r] = base + size
+        u = np.empty((path.size, size))
+        for row, c, b in zip(near.tolist(), entry[near].tolist(), base[near].tolist()):
+            # the uniforms of steps b + c to the block end, drawn from the
+            # stream's position `at` (at most _SKIP_MIN - 1 before)
+            gen_u = gens[row][1]
+            at = u_next[row]
+            if at < 0 or b + c - at >= _SKIP_MIN:
+                at = _seek(gen_u.bit_generator, config.seed, 2 * (first + int(path[row])) + 1, b + c)
+            if at < b:
+                gen_u.random(b - at)  # unread, before this block
+                at = b
+            gen_u.random(out=u[row, at - b :])
+            u_next[row] = b + size
         j = kernels.scan_rows(dt, x, entry, stop, u)
-        hit = j < size
+        # a step past a row's horizon does not count
+        hit = j < np.minimum(limit, size)
         if hit.any():
             r_hit, j_hit = np.flatnonzero(hit), j[hit]
-            k = base + j_hit
+            k = base[hit] + j_hit
             t_k = k * dt
             x_before, x_after, area_hit = x[r_hit, j_hit], x[r_hit, j_hit + 1], area[r_hit, j_hit]
             # bridge hits: the step midpoint and half the step's trapezoid;
@@ -251,13 +261,29 @@ def _scan_paths(config: SimConfig, first: int, pool: list) -> list[PassageSample
             frac = xb / (xb - xa)
             tau[endpoint] = t_k[endpoint] + frac * dt
             area_end[endpoint] = area_hit[endpoint] + 0.5 * xb * (frac * dt)
-            for r, t, a, steps in zip(active[hit].tolist(), tau.tolist(), area_end.tolist(), (k + 1).tolist()):
-                out[r] = PassageSample(t, a, steps, False)
-        live = ~hit
-        active, s_carry, area_carry = active[live], s[live, -1], area[live, -1]
+            for i, t, a, steps in zip(path[hit].tolist(), tau.tolist(), area_end.tolist(), (k + 1).tolist()):
+                out[i] = PassageSample(t, a, steps, False)
+        censored = ~hit & (limit <= size)
+        for i, a in zip(path[censored].tolist(), area[censored, limit[censored]].tolist()):
+            out[i] = PassageSample(max_steps * dt, a, max_steps, True)
+        s_carry, area_carry = s[:, -1].copy(), area[:, -1].copy()
         base += size
-    for r, a in zip(active.tolist(), area_carry.tolist()):
-        out[r] = PassageSample(max_steps * dt, a, max_steps, True)
+        done = np.flatnonzero(hit | censored)
+        refill = done[: count - started]
+        for row in refill.tolist():
+            _seek(gens[row][0].bit_generator, config.seed, 2 * (first + started), 0)
+            u_next[row] = -1
+            path[row] = started
+            started += 1
+        base[refill] = 0
+        s_carry[refill] = 0.0
+        area_carry[refill] = 0.0
+        if refill.size < done.size:
+            keep = np.ones(path.size, dtype=bool)
+            keep[done[refill.size :]] = False
+            rows = np.flatnonzero(keep).tolist()
+            gens, u_next = [gens[r] for r in rows], [u_next[r] for r in rows]
+            path, base, s_carry, area_carry = path[keep], base[keep], s_carry[keep], area_carry[keep]
     return out
 
 
@@ -265,17 +291,13 @@ def simulate_path(config: SimConfig, stream_index: int) -> PassageSample:
     """Simulate the single path owning RNG streams (seed, 2i) and (seed, 2i+1)."""
     if not 0 <= stream_index < config.paths:
         raise ValueError(f"stream_index {stream_index} outside 0..{config.paths - 1}")
-    return _scan_paths(config, stream_index, _generator_pool(1))[0]
+    return _scan_paths(config, stream_index, 1, 1)[0]
 
 
 def run(config: SimConfig) -> list[PassageSample]:
     """All paths of the run, indexed by stream; equal to per-index simulate_path."""
     np.empty(_HEAP_PRIME_BYTES, dtype=np.uint8)  # freed at once; see _HEAP_PRIME_BYTES
-    pool = _generator_pool(min(_CHUNK_PATHS, config.paths))
-    out = []
-    for first in range(0, config.paths, len(pool)):
-        out += _scan_paths(config, first, pool[: config.paths - first])
-    return out
+    return _scan_paths(config, 0, config.paths, _CHUNK_PATHS)
 
 
 def _uncensored(samples: Sequence[PassageSample]) -> tuple[np.ndarray, np.ndarray, int]:

@@ -200,6 +200,9 @@ class TestSimulate:
         assert code == 2
         code, _, _ = run_cli(capsys, "simulate", "--x", "1", "--mu", "1", "--dt", "0")
         assert code == 2
+        code, _, err = run_cli(capsys, "simulate", "--x", "1", "--mu", "1", "--dt", "inf", "--paths", "2")
+        assert code == 2
+        assert "error:" in err and "finite" in err
         # the default horizon 50*x/mu overflows
         code, _, err = run_cli(capsys, "simulate", "--x", "1", "--mu", "1e-320", "--paths", "2")
         assert code == 2

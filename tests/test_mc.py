@@ -75,6 +75,7 @@ class TestConfig:
         for field, value in [
             ("dt", 0.0),
             ("dt", -1.0),
+            ("dt", math.inf),
             ("paths", 0),
             ("seed", -1),
             ("seed", 2**64),
@@ -111,7 +112,7 @@ class TestDeterminism:
     )
     def test_pinned_csv_bytes(self, x, mu, dt, paths, bridge, digest):
         # the CSVs as RNG scheme v1 and the one-path-per-call scan first
-        # wrote them (500 paths are eight chunks, the last one partial)
+        # wrote them (500 paths through 64 row slots, each refilled ~7 times)
         cfg = SimConfig(ModelParams(x=x, mu=mu), dt=dt, paths=paths, seed=4, bridge_correction=bridge)
         buf = io.StringIO()
         write_samples_csv(run(cfg), buf)
@@ -129,15 +130,40 @@ class TestDeterminism:
     def test_block_sizing_is_invisible(self, monkeypatch):
         want = run(SMALL)
         for sizing in (
-            {"_CHUNK_PATHS": 1},  # one row per chunk
+            {"_CHUNK_PATHS": 1},  # one row, refilled path after path
             {"_BLOCK_MIN": 7, "_BLOCK_MAX": 7},  # 7-step blocks
             {"_BLOCK_MIN": 7, "_BLOCK_MAX": 7, "_SKIP_MIN": 4},  # seek past gaps of 4 uniforms
-            {"_CHUNK_PATHS": 7, "_ROUND_BUDGET": 40, "_BLOCK_MIN": 3},  # 7 does not divide 25
+            {"_CHUNK_PATHS": 7, "_ROUND_BUDGET": 40, "_BLOCK_MIN": 3},  # 7 slots, 5-step blocks
+            # 3 slots refilled ~8 times each: rows started rounds apart,
+            # so paths of very different lengths share every round
+            {"_CHUNK_PATHS": 3, "_BLOCK_MIN": 50, "_BLOCK_MAX": 50},
+            # 256-step blocks from the budget, longer once the last rows leave
+            {"_CHUNK_PATHS": 3, "_ROUND_BUDGET": 768},
         ):
             with monkeypatch.context() as patch:
                 for name, value in sizing.items():
                     patch.setattr(mc, name, value)
                 assert run(SMALL) == want, sizing
+
+    def test_refilled_rows_meet_the_horizon_apart(self, monkeypatch):
+        # mu = 0 from x = 0.3: about two paths in three cross before the
+        # 500-step horizon, at any step.  Three slots refilled at different
+        # rounds hold different bases, so in one round the horizon falls
+        # mid-block for the oldest row (500 is no multiple of 64 or 7) and
+        # past the block end for the rows refilled since.
+        cfg = SimConfig(ModelParams(x=0.3, mu=0.0), dt=1e-3, paths=25, seed=12, max_time=0.5)
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_CHUNK_PATHS", 1)
+            want = run(cfg)
+        assert 0 < sum(s.censored for s in want) < cfg.paths
+        assert all(s.tau == 0.5 and s.steps == 500 for s in want if s.censored)
+        assert [simulate_path(cfg, i) for i in range(cfg.paths)] == want
+        for block in (64, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "_CHUNK_PATHS", 3)
+                patch.setattr(mc, "_BLOCK_MIN", block)
+                patch.setattr(mc, "_BLOCK_MAX", block)
+                assert run(cfg) == want, block
 
     def test_single_path_matches_run_across_chunks(self):
         cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=2 * mc._CHUNK_PATHS + 3, seed=21)
@@ -145,12 +171,15 @@ class TestDeterminism:
         for i in (mc._CHUNK_PATHS - 1, mc._CHUNK_PATHS, 2 * mc._CHUNK_PATHS + 2):
             assert simulate_path(cfg, i) == samples[i]
 
-    def test_long_path_survives_several_rounds(self):
-        # x=10: ~10000 steps a path against rounds of budget/3 steps
+    def test_long_path_survives_several_rounds(self, monkeypatch):
+        # x=10: ~10000 steps a path against rounds of 4096 steps
         cfg = SimConfig(ModelParams(x=10.0, mu=1.0), dt=1e-3, paths=3, seed=8)
-        samples = run(cfg)
+        block = 4096
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_BLOCK_MIN", block)
+            patch.setattr(mc, "_BLOCK_MAX", block)
+            samples = run(cfg)
         steps = [s.steps for s in samples if not s.censored]
-        block = mc._ROUND_BUDGET // cfg.paths
         assert len(steps) == 3 and min(steps) > block and max(steps) > 2 * block
         for i in range(cfg.paths):
             assert simulate_path(cfg, i) == samples[i]
@@ -342,6 +371,26 @@ class TestOracleBattery:
         assert abs(s.estimate - 1e-3) <= 3.0 * s.std_error
 
 
+class TestRounds:
+    def test_slots_keep_most_draws(self, monkeypatch):
+        # At the C6 point a path crosses after ~1000 steps.  Every normal
+        # drawn past a crossing is discarded, so rounds that let rows idle
+        # and stretch the block over the rest waste more: chunked rounds
+        # consumed 0.67 of the draws here, slots refilled at once 0.78.
+        cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=2000, seed=7)
+        walk = kernels.walk_rows
+        normals = 0
+
+        def counted(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
+            nonlocal normals
+            normals += z.shape[0] * (z.shape[1] - 1)
+            return walk(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z)
+
+        monkeypatch.setattr(kernels, "walk_rows", counted)
+        steps = sum(s.steps for s in run(cfg))
+        assert steps / normals >= 0.75
+
+
 class TestBridgeBias:
     def test_pathwise_ordering(self):
         # same Gaussian stream: the correction can only add crossings
@@ -378,16 +427,18 @@ class TestCensoring:
                 estimator(samples)
 
     def test_horizon_ends_mid_round(self, monkeypatch):
-        # max_steps = 300 cuts the second round of 64 rows short (256 + 44)
+        # max_steps = 300 against 256-step rounds: the second round cuts the
+        # 64 first paths short at column 44 and runs the refilled rows on
         cfg = SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=70, seed=3, max_time=0.3)
-        samples = run(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_BLOCK_MAX", 256)
+            samples = run(cfg)
         censored = [s for s in samples if s.censored]
         assert 0 < len(censored) < cfg.paths
         assert all(s.tau == cfg.max_steps * cfg.dt and s.steps == 300 for s in censored)
         assert all(s.steps <= 300 for s in samples)
         assert simulate_path(cfg, 69) == samples[69]
-        monkeypatch.setattr(mc, "_BLOCK_MIN", 1000)
-        assert run(cfg) == samples
+        assert run(cfg) == samples  # one 300-step round
 
     def test_zero_drift_with_explicit_horizon(self, monkeypatch):
         cfg = SimConfig(ModelParams(x=1.0, mu=0.0), dt=1e-3, paths=70, seed=54, max_time=2.0)
