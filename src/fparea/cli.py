@@ -5,7 +5,8 @@ Subcommands: `moment` (symbolic and numeric joint moments), `correlation`
 with summary), `density` (area histograms, with a seven-drift preset),
 and `time-average`.  All flags are long-form; every command is
 deterministic given its full flag set.  Exit codes: 0 success, 2 argument
-error, 3 statistical-quality failure (censored fraction above 1%).
+error or unwritable output path, 3 statistical-quality failure (censored
+fraction above 1%).
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2

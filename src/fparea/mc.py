@@ -7,8 +7,11 @@ triangle X_k*(tau - t_k)/2), or, with the bridge correction on, when the
 Brownian-bridge minimum law fires between two positive endpoints with
 probability exp(-2 X_k X_{k+1}/dt); such a crossing is booked at the step
 midpoint with half the step's trapezoid area.  Plain endpoint detection
-has an O(sqrt(dt)) positive bias in tau; the correction knocks it down to
-O(dt).
+delays tau by beta*sqrt(dt)/mu to leading order, where beta =
+-zeta(1/2)/sqrt(2*pi) ~ 0.5826 (Broadie, Glasserman and Kou 1997).  The
+tests measure that delay at dt = 0.04 and 0.01; the corrected bias lies
+below the noise of 40,000 paths there, so the correction removes the
+sqrt(dt) term, though that does not show the rest is O(dt) (Gobet 2000).
 
 RNG scheme v1 (do not change without bumping): path i reads its Gaussian
 increments from Philox keyed (seed, 2i) and its bridge uniforms from
@@ -24,36 +27,37 @@ Uniforms are drawn only from a row's band entry on (see `kernels`): the
 bridge cannot fire on a step whose ends both lie above
 `kernels.bridge_band(dt)`, and the kernel reads no uniform there.
 Philox is counter-based (Salmon et al., SC'11), so the double at any
-position is produced without the ones before it: a row's uniform stream
-is keyed and positioned by one state write at its first band entry, and
-positioned again past any gap of at least _SKIP_MIN unread steps; shorter
-gaps are drawn through.  Every uniform the kernel reads keeps its stream
-position, so this cannot change a byte of the output.
+position is produced without the ones before it: in every round in which
+a row comes near zero, one uniform generator shared by all rows is keyed
+by one state write to the row's stream at its band entry in that round,
+and draws the row's uniforms from there to the block end.  Every uniform
+the kernel reads keeps its stream position, so no output byte can change.
 
 Rounds: `run` scans all its paths in one pass over a fixed pool of up to
-64 row slots, each owning a Philox generator pair.  A slot holds one path
-at a time; when its path crosses or reaches the horizon, it takes the next
-unstarted path at once, its normal stream keyed by one state write and its
-carries reset to zero, so every round scans a full block until the paths
-run out.  Each slot keeps its own `base`, the steps its path has consumed,
-and so its own horizon, max_steps - base.  A round draws the next block of
-normals of every slot straight into columns 1.. of that slot's row of a
-(rows, block+1) array, column 0 holding the row's carries (see
-`kernels`).  It walks all rows in one kernel call, draws the uniforms of
-the rows that came near zero, and scans those for bridge crossings in a
-second call, which returns the crossing step of each row.  A crossing
-counts only before the row's horizon; a row whose horizon falls within the
-block without one is censored there.  The rows that crossed are finalized
-from the positions and area gathered from the walk at that step; the
-others carry the running sum and area of the last column into the next
-round.  The block is a fixed working-set budget (2^15 doubles per array,
-256 KB) divided among the rows, within [256, 8192] steps and never past
-the furthest horizon.  This cannot change a byte of the output: a row
-reads its own streams positionally, so its draws are those of the
-one-path scan whatever the block lengths or the paths beside it; the
-kernel treats rows independently and folds the carries in the same order;
-and the crossing arithmetic below is the scalar expression applied
-elementwise.  `simulate_path` is the same pass over one path in one slot.
+64 row slots, each owning one Philox generator for its normals.  A slot
+holds one path at a time; when its path crosses or reaches the horizon,
+it takes the next unstarted path at once, its normal stream keyed by one
+state write and its carries reset to zero, so every round scans a full
+block until the paths run out.  Each slot keeps its own `base`, the steps
+its path has consumed, and so its own horizon, max_steps - base.  A round
+draws the next block of normals of every slot straight into columns 1..
+of that slot's row of a (rows, block+1) array, column 0 holding the row's
+carries (see `kernels`).  It walks all rows in one kernel call, draws the
+uniforms of the rows that came near zero, and scans those for bridge
+crossings in a second call, which returns the crossing step of each row.
+A crossing counts only before the row's horizon; a row whose horizon
+falls within the block without one is censored there.  The rows that
+crossed are finalized from the positions and area gathered from the walk
+at that step; the others carry the running sum and area of the last
+column into the next round.  The block is a fixed working-set budget
+(2^15 doubles per array, 256 KB) divided among the rows, up to 8192 steps
+and never past the furthest horizon.  This cannot change a byte of the
+output: a row reads its own streams in stream order, so its draws are
+those of the one-path scan whatever the block lengths or the paths beside
+it; the kernel treats rows independently and folds the carries in the
+same order; and the crossing arithmetic below is the scalar expression
+applied elementwise.  `simulate_path` is the same pass over one path in
+one slot.
 
 Censoring: a path that reaches max_time (default 50*x/mu) without
 crossing is returned with censored=True, excluded from estimators, and
@@ -64,6 +68,7 @@ explicit max_time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
@@ -73,19 +78,14 @@ from . import kernels
 from .closed_forms import ModelParams
 
 # Round sizing (see the module docstring): the block is _ROUND_BUDGET
-# draws divided among the rows of at most _CHUNK_PATHS slots, within
-# [_BLOCK_MIN, _BLOCK_MAX].  Refilled slots stay full, so the block stays
-# short and wastes few draws past each crossing until the paths run out;
-# then it lengthens as the last rows leave, keeping the per-call overhead
-# down.  Sizing is invisible in the results.
+# draws divided among the rows of at most _CHUNK_PATHS slots, so at least
+# 512 steps, and at most _BLOCK_MAX.  Refilled slots stay full, so the
+# block stays short and wastes few draws past each crossing until the
+# paths run out; then it lengthens as the last rows leave, keeping the
+# per-call overhead down.  Sizing is invisible in the results.
 _CHUNK_PATHS = 64
 _ROUND_BUDGET = 1 << 15
-_BLOCK_MIN = 256
 _BLOCK_MAX = 8192
-# A row's uniform stream is repositioned by one state write (~0.9 us) when
-# at least this many unread uniforms lie before the row's next band entry;
-# fewer are drawn through (~6 ns each).
-_SKIP_MIN = 128
 # glibc hands free memory at the top of the heap back to the OS once more
 # than its trim threshold (128 KB at start-up) is free there, so the
 # temporaries every round allocates and frees would be faulted back in
@@ -117,10 +117,10 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.paths < 1:
-            raise ValueError(f"paths must be at least 1, got {self.paths}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        if not (isinstance(self.paths, numbers.Integral) and self.paths >= 1):
+            raise ValueError(f"paths must be an integer of at least 1, got {self.paths!r}")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.max_time is None:
             if self.params.mu <= 0:
                 raise ValueError("mu = 0 has no default horizon; pass max_time explicitly")
@@ -165,13 +165,9 @@ class HistogramDensity:
     mass: np.ndarray
 
 
-def _generator_pool(size: int) -> list[tuple[np.random.Generator, np.random.Generator]]:
-    """`size` (normals, uniforms) Philox generator pairs, keyed by `_seek`."""
-
-    def unkeyed() -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
-
-    return [(unkeyed(), unkeyed()) for _ in range(size)]
+def _unkeyed() -> np.random.Generator:
+    """A Philox generator, to be keyed by `_seek`."""
+    return np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
 
 
 def _seek(bitgen: np.random.Philox, seed: int, stream: int, position: int) -> int:
@@ -194,15 +190,15 @@ def _seek(bitgen: np.random.Philox, seed: int, stream: int, position: int) -> in
     return position - position % 4
 
 
-def _scan_paths(config: SimConfig, first: int, count: int, slots: int) -> list[PassageSample]:
+def _scan_paths(config: SimConfig, first: int, count: int) -> list[PassageSample]:
     """Paths first .. first+count-1 of the run, scanned in one pass over at
-    most `slots` rows.
+    most _CHUNK_PATHS rows.
 
     Row r of a round holds path first+path[r], which has consumed base[r]
-    steps, and the generator pair gens[r], keyed here to that path's
-    streams (the uniform one at the row's first band entry).  A row whose
-    path crosses or reaches the horizon takes the next unstarted path at
-    once, with base and carries zero; rows leave only when none is left.
+    steps, and draws its normals from gens[r], keyed here to that path's
+    stream.  A row whose path crosses or reaches the horizon takes the
+    next unstarted path at once, with base and carries zero; rows leave
+    only when none is left.  All rows read their uniforms through gen_u.
     """
     x0 = config.params.x
     dt = config.dt
@@ -210,39 +206,33 @@ def _scan_paths(config: SimConfig, first: int, count: int, slots: int) -> list[P
     sqrt_dt = math.sqrt(dt)
     band = kernels.bridge_band(dt) if config.bridge_correction else 0.0
     max_steps = config.max_steps
-    gens = _generator_pool(min(slots, count))
-    for r, (gen_z, _) in enumerate(gens):
-        _seek(gen_z.bit_generator, config.seed, 2 * (first + r), 0)
+    gens = [_unkeyed() for _ in range(min(_CHUNK_PATHS, count))]
+    for r, gen in enumerate(gens):
+        _seek(gen.bit_generator, config.seed, 2 * (first + r), 0)
+    gen_u = _unkeyed()
     path = np.arange(len(gens))
     base = np.zeros(len(gens), dtype=np.int64)
-    # the stream position of each row's next uniform; -1 until keyed
-    u_next = [-1] * len(gens)
-    s_carry = np.zeros(len(gens))
-    area_carry = np.zeros(len(gens))
+    s_carry, area_carry = np.zeros(len(gens)), np.zeros(len(gens))
     started = len(gens)
 
     out: list = [None] * count
     while path.size:
         limit = max_steps - base
-        size = min(max(_ROUND_BUDGET // path.size, _BLOCK_MIN), _BLOCK_MAX, int(limit.max()))
+        size = min(_ROUND_BUDGET // path.size, _BLOCK_MAX, int(limit.max()))
         z = np.empty((path.size, size + 1))
-        for row, (gen_z, _) in enumerate(gens):
-            gen_z.standard_normal(out=z[row, 1:])
+        for row, gen in enumerate(gens):
+            gen.standard_normal(out=z[row, 1:])
         s, x, area, entry, stop = kernels.walk_rows(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z)
         near = np.flatnonzero(entry < stop)
         u = np.empty((path.size, size))
-        for row, c, b in zip(near.tolist(), entry[near].tolist(), base[near].tolist()):
+        for row, i, c, b in zip(near.tolist(), path[near].tolist(), entry[near].tolist(), base[near].tolist()):
             # the uniforms of steps b + c to the block end, drawn from the
-            # stream's position `at` (at most _SKIP_MIN - 1 before)
-            gen_u = gens[row][1]
-            at = u_next[row]
-            if at < 0 or b + c - at >= _SKIP_MIN:
-                at = _seek(gen_u.bit_generator, config.seed, 2 * (first + int(path[row])) + 1, b + c)
+            # Philox block boundary `at`, at most 3 positions before b + c
+            at = _seek(gen_u.bit_generator, config.seed, 2 * (first + i) + 1, b + c)
             if at < b:
                 gen_u.random(b - at)  # unread, before this block
                 at = b
             gen_u.random(out=u[row, at - b :])
-            u_next[row] = b + size
         j = kernels.scan_rows(dt, x, entry, stop, u)
         # a step past a row's horizon does not count
         hit = j < np.minimum(limit, size)
@@ -271,18 +261,13 @@ def _scan_paths(config: SimConfig, first: int, count: int, slots: int) -> list[P
         done = np.flatnonzero(hit | censored)
         refill = done[: count - started]
         for row in refill.tolist():
-            _seek(gens[row][0].bit_generator, config.seed, 2 * (first + started), 0)
-            u_next[row] = -1
+            _seek(gens[row].bit_generator, config.seed, 2 * (first + started), 0)
             path[row] = started
             started += 1
-        base[refill] = 0
-        s_carry[refill] = 0.0
-        area_carry[refill] = 0.0
+        base[refill] = s_carry[refill] = area_carry[refill] = 0
         if refill.size < done.size:
-            keep = np.ones(path.size, dtype=bool)
-            keep[done[refill.size :]] = False
-            rows = np.flatnonzero(keep).tolist()
-            gens, u_next = [gens[r] for r in rows], [u_next[r] for r in rows]
+            keep = np.delete(np.arange(path.size), done[refill.size :])
+            gens = [gens[r] for r in keep.tolist()]
             path, base, s_carry, area_carry = path[keep], base[keep], s_carry[keep], area_carry[keep]
     return out
 
@@ -291,13 +276,13 @@ def simulate_path(config: SimConfig, stream_index: int) -> PassageSample:
     """Simulate the single path owning RNG streams (seed, 2i) and (seed, 2i+1)."""
     if not 0 <= stream_index < config.paths:
         raise ValueError(f"stream_index {stream_index} outside 0..{config.paths - 1}")
-    return _scan_paths(config, stream_index, 1, 1)[0]
+    return _scan_paths(config, stream_index, 1)[0]
 
 
 def run(config: SimConfig) -> list[PassageSample]:
     """All paths of the run, indexed by stream; equal to per-index simulate_path."""
     np.empty(_HEAP_PRIME_BYTES, dtype=np.uint8)  # freed at once; see _HEAP_PRIME_BYTES
-    return _scan_paths(config, 0, config.paths, _CHUNK_PATHS)
+    return _scan_paths(config, 0, config.paths)
 
 
 def _uncensored(samples: Sequence[PassageSample]) -> tuple[np.ndarray, np.ndarray, int]:

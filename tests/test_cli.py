@@ -282,6 +282,24 @@ class TestTimeAverage:
 
 
 class TestParserShell:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--x", "1", "--mu", "1", "--paths", "2", "--out", "{missing}"],
+            ["moment", "--m", "1", "--n", "1", "--out", "{missing}"],
+            # a directory is wanted where a file already stands
+            ["density", "--figure1", "--out", "{file}"],
+        ],
+        ids=["simulate", "moment", "density-figure1"],
+    )
+    def test_unwritable_out_is_an_argument_error(self, capsys, tmp_path, argv):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        paths = {"missing": str(tmp_path / "missing" / "x.csv"), "file": str(taken)}
+        code, _, err = run_cli(capsys, *[arg.format(**paths) for arg in argv])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
