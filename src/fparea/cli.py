@@ -7,6 +7,11 @@ and `time-average`.  All flags are long-form; every command is
 deterministic given its full flag set.  Exit codes: 0 success, 2 argument
 error or unwritable output path, 3 statistical-quality failure (censored
 fraction above 1%).
+
+The four simulating commands (`simulate`, `density`, `correlation
+--simulate`, `time-average --simulate`) validate the flags, open the
+output, and only then simulate, each run through `_simulate`, which
+applies the censoring rule (exit 3) to every one of them.
 """
 
 from __future__ import annotations
@@ -134,6 +139,21 @@ def _sim_config(args, x: float, mu: float) -> SimConfig:
     )
 
 
+def _simulate(config: SimConfig) -> tuple[list, int]:
+    """The run's samples, and exit status 3 with an error line when more
+    than CENSOR_FAIL_FRACTION of its paths are censored, else 0."""
+    samples = mc.run(config)
+    censored = sum(s.censored for s in samples)
+    if censored <= CENSOR_FAIL_FRACTION * len(samples):
+        return samples, 0
+    print(
+        f"error: censored fraction {censored / len(samples):.3g} exceeds "
+        f"{CENSOR_FAIL_FRACTION:.0%}",
+        file=sys.stderr,
+    )
+    return samples, 3
+
+
 def cmd_moment(args) -> int:
     if args.m < 0 or args.n < 0:
         raise ValueError(f"--m and --n must be nonnegative, got ({args.m}, {args.n})")
@@ -157,30 +177,23 @@ def cmd_correlation(args) -> int:
         raise ValueError("--mu-list is empty")
     for mu in drifts:
         _positive("--mu-list entry", mu)
+    configs = [_sim_config(args, x, mu) if args.simulate else None for mu in drifts]
 
-    header = ["gamma", "rho_exact"]
-    if args.simulate:
-        header += ["rho_mc", "rho_mc_stderr"]
-    rows = []
-    for mu in drifts:
-        gamma = mu * x
-        row = [gamma, closed_forms.rho_exact(gamma)]
-        if args.simulate:
-            samples = mc.run(_sim_config(args, x, mu))
-            summary = mc.estimate_correlation(samples)
-            row += [summary.estimate, summary.std_error]
-        rows.append(row)
-
+    header = ["gamma", "rho_exact"] + (["rho_mc", "rho_mc_stderr"] if args.simulate else [])
+    sep, align = (",", "") if args.format == "csv" else ("  ", ">22")
+    status = 0
     with _open_out(args.out) as out:
-        if args.format == "csv":
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        else:
-            out.write("  ".join(f"{h:>22}" for h in header) + "\n")
-            for row in rows:
-                out.write("  ".join(f"{v:>22.17g}" for v in row) + "\n")
-    return 0
+        out.write(sep.join(format(h, align) for h in header) + "\n")
+        for mu, config in zip(drifts, configs):
+            gamma = mu * x
+            row = [gamma, closed_forms.rho_exact(gamma)]
+            if args.simulate:
+                samples, code = _simulate(config)
+                summary = mc.estimate_correlation(samples)
+                row += [summary.estimate, summary.std_error]
+                status = max(status, code)
+            out.write(sep.join(format(v, align + ".17g") for v in row) + "\n")
+    return status
 
 
 def _report_summaries(samples, label: str) -> None:
@@ -208,26 +221,14 @@ def _report_summaries(samples, label: str) -> None:
     )
 
 
-def _censor_exit(samples) -> int:
-    censored = sum(1 for s in samples if s.censored)
-    if censored > CENSOR_FAIL_FRACTION * len(samples):
-        print(
-            f"error: censored fraction {censored / len(samples):.3g} exceeds "
-            f"{CENSOR_FAIL_FRACTION:.0%}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def cmd_simulate(args) -> int:
     config = _sim_config(args, _positive("--x", args.x), _positive("--mu", args.mu))
-    samples = mc.run(config)
     with _open_out(args.out) as out:
+        samples, status = _simulate(config)
         mc.write_samples_csv(samples, out)
     if len(samples) >= 2:
         _report_summaries(samples, f"simulate x={config.params.x} mu={config.params.mu}")
-    return _censor_exit(samples)
+    return status
 
 
 def cmd_density(args) -> int:
@@ -236,39 +237,34 @@ def cmd_density(args) -> int:
     if args.figure1:
         if args.out is None:
             raise ValueError("--figure1 writes one file per drift and requires --out DIR")
+        jobs = [
+            (_sim_config(args, 1.0, mu), os.path.join(args.out, f"fpa_density_mu_{mu:g}.csv"))
+            for mu in FIGURE_DRIFTS
+        ]
         os.makedirs(args.out, exist_ok=True)
-        status = 0
-        for mu in FIGURE_DRIFTS:
-            config = _sim_config(args, 1.0, mu)
-            samples = mc.run(config)
-            hist = mc.estimate_density(samples, args.bins)
-            path = os.path.join(args.out, f"fpa_density_mu_{mu:g}.csv")
-            with open(path, "w", newline="") as fh:
-                mc.write_histogram_csv(hist, fh)
+    else:
+        jobs = [(_sim_config(args, _positive("--x", args.x), _positive("--mu", args.mu)), args.out)]
+    status = 0
+    for config, path in jobs:
+        with _open_out(path) as out:
+            samples, code = _simulate(config)
+            mc.write_histogram_csv(mc.estimate_density(samples, args.bins), out)
+        if args.figure1:
             print(f"wrote {path}", file=sys.stderr)
-            status = max(status, _censor_exit(samples))
-        return status
-    config = _sim_config(args, _positive("--x", args.x), _positive("--mu", args.mu))
-    samples = mc.run(config)
-    hist = mc.estimate_density(samples, args.bins)
-    with _open_out(args.out) as out:
-        mc.write_histogram_csv(hist, out)
-    return _censor_exit(samples)
+        status = max(status, code)
+    return status
 
 
 def cmd_time_average(args) -> int:
-    x = _positive("--x", args.x)
-    mu = _positive("--mu", args.mu)
-    lines = [f"exact,{closed_forms.expected_time_average(ModelParams(x, mu)):.17g}"]
+    params = ModelParams(_positive("--x", args.x), _positive("--mu", args.mu))
+    config = _sim_config(args, params.x, params.mu) if args.simulate else None
     status = 0
-    if args.simulate:
-        samples = mc.run(_sim_config(args, x, mu))
-        summary = mc.estimate_time_average(samples)
-        lines.append(f"mc_estimate,{summary.estimate:.17g}")
-        lines.append(f"mc_stderr,{summary.std_error:.17g}")
-        status = _censor_exit(samples)
     with _open_out(args.out) as out:
-        out.write("\n".join(lines) + "\n")
+        out.write(f"exact,{closed_forms.expected_time_average(params):.17g}\n")
+        if args.simulate:
+            samples, status = _simulate(config)
+            summary = mc.estimate_time_average(samples)
+            out.write(f"mc_estimate,{summary.estimate:.17g}\nmc_stderr,{summary.std_error:.17g}\n")
     return status
 
 

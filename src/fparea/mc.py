@@ -291,18 +291,23 @@ def _uncensored(samples: Sequence[PassageSample]) -> tuple[np.ndarray, np.ndarra
     return taus, areas, len(samples) - len(taus)
 
 
+def _mean(samples: Sequence[PassageSample], per_path) -> EstimatorSummary:
+    """Sample mean and standard error of per_path(taus, areas)."""
+    taus, areas, censored = _uncensored(samples)
+    if len(taus) < 2:
+        raise InsufficientSamplesError(f"need at least 2 uncensored samples, have {len(taus)}")
+    vals = per_path(taus, areas)
+    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    return EstimatorSummary(float(vals.mean()), se, len(vals), censored)
+
+
 def estimate_joint_moment(
     samples: Sequence[PassageSample], m: int, n: int
 ) -> EstimatorSummary:
     """Sample mean and standard error of tau^m * area^n."""
     if m < 0 or n < 0:
         raise ValueError(f"moment orders must be nonnegative, got ({m}, {n})")
-    taus, areas, censored = _uncensored(samples)
-    if len(taus) < 2:
-        raise InsufficientSamplesError(f"need at least 2 uncensored samples, have {len(taus)}")
-    vals = taus**m * areas**n
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return EstimatorSummary(float(vals.mean()), se, len(vals), censored)
+    return _mean(samples, lambda taus, areas: taus**m * areas**n)
 
 
 def estimate_correlation(samples: Sequence[PassageSample]) -> EstimatorSummary:
@@ -320,12 +325,7 @@ def estimate_correlation(samples: Sequence[PassageSample]) -> EstimatorSummary:
 
 def estimate_time_average(samples: Sequence[PassageSample]) -> EstimatorSummary:
     """Sample mean and standard error of area/tau per path."""
-    taus, areas, censored = _uncensored(samples)
-    if len(taus) < 2:
-        raise InsufficientSamplesError(f"need at least 2 uncensored samples, have {len(taus)}")
-    vals = areas / taus
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return EstimatorSummary(float(vals.mean()), se, len(vals), censored)
+    return _mean(samples, lambda taus, areas: areas / taus)
 
 
 def estimate_density(

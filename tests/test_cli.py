@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, exit codes, file handling."""
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -137,6 +138,16 @@ class TestCorrelation:
         assert cli.main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_simulated_censoring_exit_code(self, capsys):
+        # the configuration of TestSimulate.test_censoring_exit_code
+        code, out, err = run_cli(
+            capsys, "correlation", "--x", "1", "--mu-list", "0.02", "--simulate",
+            "--dt", "50", "--paths", "600", "--seed", "99", "--no-bridge",
+        )
+        assert code == 3
+        assert "censored fraction" in err
+        assert out.splitlines()[0] == "gamma,rho_exact,rho_mc,rho_mc_stderr"
 
     def test_bad_drift_lists(self, capsys):
         for bad in ("", "0", "-1", "abc", "1,,0"):
@@ -281,6 +292,45 @@ class TestTimeAverage:
         assert code == 2
 
 
+class TestPinnedOutputs:
+    """Exit code, stdout, stderr and every file written by a successful
+    run of each simulating command, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["simulate", "--x", "1", "--mu", "1", "--paths", "300", "--seed", "5",
+              "--out", "{tmp}/s.csv"],
+             "c6bac58abf6fdd63b77b4e6fe2604fbe7ce3bb4d3d4a340a4f4c7c117fea3caa"),
+            (["density", "--x", "1", "--mu", "1.5", "--paths", "400", "--bins", "20",
+              "--seed", "7", "--out", "{tmp}/h.csv"],
+             "b1e4c99ce9d617dd5ec3c2a8d8031759184e3e47e33e6be5287f9fd3fdefd6ec"),
+            (["density", "--figure1", "--paths", "150", "--bins", "10", "--seed", "3",
+              "--out", "{tmp}/fig"],
+             "a3ae973b4ddd2b2689ce447d34da007ba9fd9cc5b92d09bfafbbb9cd74018d63"),
+            (["correlation", "--x", "2", "--mu-list", "1,1.5", "--simulate",
+              "--paths", "300", "--dt", "0.01", "--seed", "4"],
+             "b1e55cba053fe848896473d98063e738514e1cccb3fe2a3e74058ec129a0167f"),
+            (["correlation", "--x", "2", "--mu-list", "1,1.5", "--simulate",
+              "--paths", "300", "--dt", "0.01", "--seed", "4", "--format", "text"],
+             "dea8f404c29e9704f2c93b7ab06c6a46ffffaafa1396b5f656d6bd030963f4e6"),
+            (["time-average", "--x", "1", "--mu", "1", "--simulate",
+              "--paths", "300", "--seed", "8"],
+             "5d34f4a8539a4b557a3d37551bf4214b82d1ecf2dc9ad27c287d76fc8aa6c993"),
+        ],
+        ids=["simulate", "density", "density-figure1", "correlation-csv",
+             "correlation-text", "time-average"],
+    )
+    def test_bytes(self, capsys, tmp_path, argv, digest):
+        code, out, err = run_cli(capsys, *[arg.format(tmp=tmp_path) for arg in argv])
+        text = f"{code}\n{out}\0{err}\0".replace(str(tmp_path), "{tmp}")
+        h = hashlib.sha256(text.encode())
+        for f in sorted(tmp_path.rglob("*")):
+            if f.is_file():
+                h.update(f.relative_to(tmp_path).as_posix().encode() + b"\0" + f.read_bytes())
+        assert h.hexdigest() == digest
+
+
 class TestParserShell:
     @pytest.mark.parametrize(
         "argv",
@@ -289,10 +339,19 @@ class TestParserShell:
             ["moment", "--m", "1", "--n", "1", "--out", "{missing}"],
             # a directory is wanted where a file already stands
             ["density", "--figure1", "--out", "{file}"],
+            ["density", "--x", "1", "--mu", "1", "--out", "{missing}"],
+            ["correlation", "--x", "1", "--mu-list", "1", "--simulate", "--out", "{missing}"],
+            ["time-average", "--x", "1", "--mu", "1", "--simulate", "--out", "{missing}"],
         ],
-        ids=["simulate", "moment", "density-figure1"],
+        ids=["simulate", "moment", "density-figure1", "density", "correlation-simulate",
+             "time-average-simulate"],
     )
-    def test_unwritable_out_is_an_argument_error(self, capsys, tmp_path, argv):
+    def test_unwritable_out_is_an_argument_error(self, capsys, monkeypatch, tmp_path, argv):
+        # the output is opened before any path is simulated
+        def no_run(config):
+            raise AssertionError("simulated before opening the output")
+
+        monkeypatch.setattr("fparea.mc.run", no_run)
         taken = tmp_path / "taken"
         taken.write_text("")
         paths = {"missing": str(tmp_path / "missing" / "x.csv"), "file": str(taken)}

@@ -140,6 +140,28 @@ class TestStructureLaws:
             for k in range(1, v.degree + 1):
                 assert v.coefficient(k) > 0, (m, n, k)
 
+    def test_scaled_coefficients_are_integers(self):
+        # P_{m,n} = sum_k q_k gamma^k / (k! 2^(D-k)), D = m+2n, with integers
+        # q_k: (1/2) P'' - P' = rhs reads q_{j+2} - q_{j+1} = rho_j, where
+        # rho_j = -m q_{m-1,n}[j] - n j q_{m,n-1}[j-1], so going down from
+        # q_{D+1} = 0, q_k = q_{k+1} - rho_{k-1}, and q_0 = 0; no step divides
+        q = {(0, 0): [1]}
+        for d in range(1, 25):
+            for m in range(d + 1):
+                n = d - m
+                D = m + 2 * n
+                rho = [0] * D
+                for j, c in enumerate(q.get((m - 1, n), [])):
+                    rho[j] -= m * c
+                for j, c in enumerate(q.get((m, n - 1), []), start=1):
+                    rho[j] -= n * j * c
+                qk = [0] * (D + 2)
+                for k in range(D, 0, -1):
+                    qk[k] = qk[k + 1] - rho[k - 1]
+                q[m, n] = qk[: D + 1]
+                scaled = [c * math.factorial(k) * 2 ** (D - k) for k, c in enumerate(joint_moment(m, n).coeffs)]
+                assert scaled == q[m, n], (m, n)
+
     def test_vanishes_at_origin_and_decays_in_mu(self):
         for idx in [(1, 0), (0, 1), (2, 2)]:
             assert joint_moment(*idx).evaluate(F(0), F(7)) == 0
