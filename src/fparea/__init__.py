@@ -43,8 +43,6 @@ from .mc import (
     write_samples_csv,
 )
 from .moments import (
-    MissingMomentError,
-    MomentTable,
     assemble_rhs,
     correlation_from_moments,
     joint_moment,
@@ -63,9 +61,7 @@ __all__ = [
     "EstimatorSummary",
     "HistogramDensity",
     "InsufficientSamplesError",
-    "MissingMomentError",
     "ModelParams",
-    "MomentTable",
     "PassageSample",
     "Poly",
     "QuadResult",

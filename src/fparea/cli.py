@@ -8,10 +8,10 @@ deterministic given its full flag set.  Exit codes: 0 success, 2 argument
 error or unwritable output path, 3 statistical-quality failure (censored
 fraction above 1%).
 
+Every command validates its flags and opens its output before it computes.
 The four simulating commands (`simulate`, `density`, `correlation
---simulate`, `time-average --simulate`) validate the flags, open the
-output, and only then simulate, each run through `_simulate`, which
-applies the censoring rule (exit 3) to every one of them.
+--simulate`, `time-average --simulate`) each run through `_simulate`,
+which applies the censoring rule (exit 3) to every one of them.
 """
 
 from __future__ import annotations
@@ -159,13 +159,14 @@ def cmd_moment(args) -> int:
         raise ValueError(f"--m and --n must be nonnegative, got ({args.m}, {args.n})")
     if (args.x is None) != (args.mu is None):
         raise ValueError("--x and --mu must be given together")
-    poly = moments.joint_moment(args.m, args.n)
-    lines = [poly.to_text()]
     if args.x is not None:
         _positive("--x", args.x)
         _positive("--mu", args.mu)
-        lines.append(f"value,{poly.evaluate(args.x, args.mu):.17g}")
     with _open_out(args.out) as out:
+        poly = moments.joint_moment(args.m, args.n)
+        lines = [poly.to_text()]
+        if args.x is not None:
+            lines.append(f"value,{poly.evaluate(args.x, args.mu):.17g}")
         out.write("\n".join(lines) + "\n")
     return 0
 

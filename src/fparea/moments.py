@@ -7,127 +7,94 @@ moment V_{m,n}(x) = E[tau^m A^n] solves
     (1/2) V'' - mu V' = -m V_{m-1,n} - n x V_{m,n-1},    V_{m,n}(0) = 0,
 
 and is the unique polynomial solution: degree m + 2n, vanishing constant
-term.  The homogeneous part c1 + c2*exp(2*mu*x) is dropped entirely; the
-polynomial particular solution is the one that stays bounded as mu grows
-and vanishes at zero.
+term.  The homogeneous part c1 + c2*exp(2*mu*x) is dropped; the polynomial
+solution is the one that stays bounded as mu grows and vanishes at zero.
 
 Brownian scaling (tau ~ mu^-2 and A ~ mu^-3 at fixed gamma = mu*x) gives
-V_{m,n}(x, mu) = mu^-(2m+3n) * P_{m,n}(gamma) with rational P, so the
-recursion runs at mu = 1 on the coefficients of P,
-(1/2) P'' - P' = -m P_{m-1,n} - n gamma P_{m,n-1}, and the weight 2m+3n of
-the `Poly` restores mu.
+V_{m,n}(x, mu) = mu^-(2m+3n) * P_{m,n}(gamma), and the recursion runs at
+mu = 1.  Write P_{m,n}(gamma) = sum_k q_k gamma^k / (k! 2^(D-k)) with
+D = m + 2n.  Matching the coefficient of gamma^j in
+(1/2) P'' - P' = -m P_{m-1,n} - n gamma P_{m,n-1} gives
 
-The base entry V_{0,0} = 1 is stored explicitly: the right-hand sides for
-(1,0) and (0,1) need it, even though it breaks the vanishing-at-zero shape
-every other entry obeys.
+    q_{j+2} - q_{j+1} = rho_j = -m q_{m-1,n}[j] - n j q_{m,n-1}[j-1],
+
+so going down from q_{D+1} = 0, q_k = q_{k+1} - rho_{k-1}, and q_0 = 0.
+No step divides, so from the base V_{0,0} = 1 (q_{0,0} = [1], the one entry
+that does not vanish at zero) every q_k is an integer by induction on m+n.
+The `Poly` with c_k = q_k / (k! 2^(D-k)) and weight 2m+3n is built only
+when an index is requested.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 from .laurent import Poly
 
 MomentIndex = tuple[int, int]
 
-
-class MissingMomentError(KeyError):
-    """A recursion dependency is absent from the moment table."""
-
-
-class MomentTable:
-    """Memoized lattice of moment polynomials, closed under dependencies."""
-
-    def __init__(self):
-        self.entries: dict[MomentIndex, Poly] = {(0, 0): Poly([1])}
-
-    def __contains__(self, idx: MomentIndex) -> bool:
-        return idx in self.entries
-
-    def require(self, idx: MomentIndex) -> Poly:
-        try:
-            return self.entries[idx]
-        except KeyError:
-            raise MissingMomentError(idx) from None
-
-    def store(self, idx: MomentIndex, poly: Poly) -> None:
-        m, n = idx
-        # shape guard: degree m+2n, no constant term, scaling weight 2m+3n
-        if poly.degree != m + 2 * n or poly.coefficient(0) or poly.weight != 2 * m + 3 * n:
-            raise ValueError(f"malformed moment polynomial for {idx}")
-        self.entries[idx] = poly
+# integer lists q of the filled indices, and the Polys built from them
+_scaled: dict[MomentIndex, list[int]] = {(0, 0): [1]}
+_polys: dict[MomentIndex, Poly] = {}
 
 
 def _validate_index(idx: MomentIndex) -> MomentIndex:
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in idx):
+        raise ValueError(f"moment index must be two nonnegative integers, got {idx!r}")
+    return (int(idx[0]), int(idx[1]))
+
+
+def assemble_rhs(idx: MomentIndex) -> list[int]:
+    """rho_j = -m q_{m-1,n}[j] - n j q_{m,n-1}[j-1], j < m+2n, from filled lists."""
     m, n = idx
-    if m < 0 or n < 0:
-        raise ValueError(f"moment index must be nonnegative, got {idx}")
-    return (int(m), int(n))
+    rho = [0] * (m + 2 * n)
+    if m:
+        for j, q in enumerate(_scaled[m - 1, n]):
+            rho[j] -= m * q
+    if n:
+        for j, q in enumerate(_scaled[m, n - 1], start=1):
+            rho[j] -= n * j * q
+    return rho
 
 
-def assemble_rhs(idx: MomentIndex, table: MomentTable) -> Poly:
-    """Right-hand side -m V_{m-1,n} - n x V_{m,n-1}, degree m+2n-1, weight 2m+3n-2.
-
-    The only nonzero constant term arises for idx = (1,0), where the
-    dependency is V_{0,0} = 1.
-    """
-    m, n = _validate_index(idx)
-    if (m, n) == (0, 0):
-        raise ValueError("(0, 0) is the recursion base, it has no right-hand side")
-    rhs = Poly()
-    if m >= 1:
-        rhs = rhs + Poly([-m]) * table.require((m - 1, n))
-    if n >= 1:
-        rhs = rhs + Poly([0, -n], weight=1) * table.require((m, n - 1))  # -n x
-    return rhs
-
-
-def solve_back_substitution(rhs: Poly, idx: MomentIndex) -> Poly:
-    """Solve (1/2) V'' - mu V' = rhs for the degree m+2n polynomial V, V(0)=0.
-
-    At mu = 1 the coefficient of gamma^d on both sides gives
-
-        (d+1) * ((d+2)/2 * a_{d+2} - a_{d+1}) = r_d ,
-
-    with a_{D+1} = 0 at the top degree D = m+2n.  The top equation fixes
-    a_D = -r_{D-1}/D; each lower equation then yields a_{d+1} from a_{d+2}.
-    """
-    m, n = _validate_index(idx)
-    D = m + 2 * n
-    if D == 0:
-        raise ValueError("no polynomial shape to solve for at index (0, 0)")
-    a = [Fraction(0)] * (D + 1)
-    a[D] = -rhs.coefficient(D - 1) / D
-    for d in range(D - 2, -1, -1):
-        a[d + 1] = Fraction(d + 2, 2) * a[d + 2] - rhs.coefficient(d) / (d + 1)
-    return Poly(a, 2 * m + 3 * n)
-
-
-_table = MomentTable()
+def solve_back_substitution(rho: list[int]) -> list[int]:
+    """q_k = q_{k+1} - rho_{k-1} going down from q_{D+1} = 0, with q_0 = 0."""
+    q = [0] * (len(rho) + 2)
+    for k in range(len(rho), 0, -1):
+        q[k] = q[k + 1] - rho[k - 1]
+    return q[:-1]
 
 
 def joint_moment(m: int, n: int) -> Poly:
-    """E[tau^m A^n] = mu^-(2m+3n) * P_{m,n}(mu*x) as an exact Poly.
-
-    Memoizing driver: fills the shared table along the dependency lattice,
-    so repeated calls are cheap and idempotent.
-    """
+    """E[tau^m A^n] = mu^-(2m+3n) * P_{m,n}(mu*x), an exact Poly built once per
+    index after the integer lists are filled over the rectangle up to (m, n)."""
     m, n = _validate_index((m, n))
     for i in range(m + 1):
         for j in range(n + 1):
-            if (i, j) not in _table:
-                rhs = assemble_rhs((i, j), _table)
-                _table.store((i, j), solve_back_substitution(rhs, (i, j)))
-    return _table.require((m, n))
+            if (i, j) not in _scaled:
+                _scaled[i, j] = solve_back_substitution(assemble_rhs((i, j)))
+    if (m, n) not in _polys:
+        D = m + 2 * n
+        coeffs = [Fraction(q, math.factorial(k) << (D - k)) for k, q in enumerate(_scaled[m, n])]
+        _polys[m, n] = Poly(coeffs, 2 * m + 3 * n)
+    return _polys[m, n]
 
 
-def verify_ode_residual(idx: MomentIndex, table: MomentTable) -> bool:
-    """True iff (1/2) V'' - mu V' - rhs is identically zero, exactly."""
-    v = table.require(_validate_index(idx))
-    dv = v.differentiate()
-    mu = Poly([1], weight=-1)
-    return not (Poly([Fraction(1, 2)]) * dv.differentiate() - mu * dv - assemble_rhs(idx, table))
+def verify_ode_residual(idx: MomentIndex, poly: Poly) -> bool:
+    """True iff (1/2) V'' - mu V' + m V_{m-1,n} + n x V_{m,n-1} = 0 exactly for
+    V = poly, in `Poly` algebra over `joint_moment`'s lower moments."""
+    m, n = _validate_index(idx)
+    if poly.weight != 2 * m + 3 * n:
+        return False
+    dv = poly.differentiate()
+    residual = Poly([Fraction(1, 2)]) * dv.differentiate() - Poly([1], weight=-1) * dv  # mu V'
+    if m:
+        residual = residual + Poly([m]) * joint_moment(m - 1, n)
+    if n:
+        residual = residual + Poly([0, n], weight=1) * joint_moment(m, n - 1)  # n x
+    return not residual
 
 
 def correlation_from_moments(x: float, mu: float) -> float:
@@ -138,8 +105,8 @@ def correlation_from_moments(x: float, mu: float) -> float:
     gamma = mu*x of the inputs and combined with one square root at the end.
     Matches the gamma closed form to near machine precision.
     """
-    if x <= 0 or mu <= 0:
-        raise ValueError(f"x and mu must be positive, got x={x}, mu={mu}")
+    if not (0 < x < math.inf and 0 < mu < math.inf):
+        raise ValueError(f"x and mu must be positive and finite, got x={x}, mu={mu}")
     g = Fraction(x) * Fraction(mu)
     p10, p01, p11, p20, p02 = (
         joint_moment(*idx).evaluate(g, 1) for idx in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))

@@ -9,8 +9,8 @@ scipy.special.exp1 and the quadrature are the independent references for
 that (tests/test_closed_forms.py).
 
 `solve_explicit_inverse` solves the moment recursion by a route other than
-the shipped back substitution: the closed-form inverse of its coefficient
-matrix.
+the shipped integer recursion: the closed-form inverse of its coefficient
+matrix, in `Fraction` arithmetic, over a plain {index: Poly} table.
 
 `scan_rows_one_pass` is the row scan as it was before the bridge band:
 one pass over a whole block, with a uniform drawn for every step, and a
@@ -84,11 +84,11 @@ def solve_explicit_inverse(idx, table):
     N = m + 2 * n
     r = [Fraction(0)] * (N + 1)
     if m >= 1:
-        dep = table.require((m - 1, n))
+        dep = table[m - 1, n]
         for i in range(1, N + 1):
             r[i] -= m * dep.coefficient(i - 1)
     if n >= 1:
-        dep = table.require((m, n - 1))
+        dep = table[m, n - 1]
         for i in range(1, N + 1):
             r[i] -= n * dep.coefficient(i - 2)
     a = [Fraction(0)] * (N + 1)

@@ -28,16 +28,9 @@ from fparea.closed_forms import (
     rho_exact,
     w_joint,
 )
-from fparea.laurent import parse_polynomial
+from fparea.laurent import Poly, parse_polynomial
 from fparea.mc import SimConfig
-from fparea.moments import (
-    MomentTable,
-    assemble_rhs,
-    correlation_from_moments,
-    joint_moment,
-    solve_back_substitution,
-    verify_ode_residual,
-)
+from fparea.moments import correlation_from_moments, joint_moment, verify_ode_residual
 from fparea.quad import integrate_density
 
 SEED = 20260822
@@ -61,16 +54,12 @@ def _verdict(label: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _fill_triangle(order: int, oracle: bool = False) -> MomentTable:
-    table = MomentTable()
+def _fill_triangle(order: int, oracle: bool = False) -> dict:
+    table = {(0, 0): Poly([1])}
     for total in range(1, order + 1):
         for m in range(total + 1):
             idx = (m, total - m)
-            if oracle:
-                poly = solve_explicit_inverse(idx, table)
-            else:
-                poly = solve_back_substitution(assemble_rhs(idx, table), idx)
-            table.store(idx, poly)
+            table[idx] = solve_explicit_inverse(idx, table) if oracle else joint_moment(*idx)
     return table
 
 
@@ -90,7 +79,7 @@ def _uncensored_arrays(samples):
 def test_criterion_1_symbolic_exactness():
     t0 = time.perf_counter()
     table = _fill_triangle(3)
-    exact = all(table.require(idx) == parse_polynomial(text) for idx, text in GOLDEN.items())
+    exact = all(table[idx] == parse_polynomial(text) for idx, text in GOLDEN.items())
     elapsed = time.perf_counter() - t0
     driver = all(joint_moment(*idx) == parse_polynomial(text) for idx, text in GOLDEN.items())
     _verdict(
@@ -118,14 +107,15 @@ def test_criterion_3_structure_law():
     for total in range(1, 9):
         for m in range(total + 1):
             idx = (m, total - m)
-            v = back.require(idx)
+            v = back[idx]
             ok = ok and v.degree == m + 2 * (total - m)
+            ok = ok and v.weight == 2 * m + 3 * (total - m)
             ok = ok and v.coefficient(0) == 0
-            ok = ok and verify_ode_residual(idx, back)
-            ok = ok and v == inverse.require(idx)
+            ok = ok and verify_ode_residual(idx, v)
+            ok = ok and v == inverse[idx]
     elapsed = time.perf_counter() - t0
     _verdict(
-        "[C3] degree/constant/residual/solver agreement for m+n <= 8",
+        "[C3] degree/weight/constant/residual/solver agreement for m+n <= 8",
         ok and elapsed < 10.0,
         f"44 indices, solver and oracle, {elapsed:.2f} s",
     )

@@ -347,17 +347,28 @@ class TestParserShell:
              "time-average-simulate"],
     )
     def test_unwritable_out_is_an_argument_error(self, capsys, monkeypatch, tmp_path, argv):
-        # the output is opened before any path is simulated
-        def no_run(config):
-            raise AssertionError("simulated before opening the output")
+        # the output is opened before any path is simulated or moment computed
+        def no_run(*args):
+            raise AssertionError("computed before opening the output")
 
         monkeypatch.setattr("fparea.mc.run", no_run)
+        monkeypatch.setattr("fparea.moments.joint_moment", no_run)
         taken = tmp_path / "taken"
         taken.write_text("")
         paths = {"missing": str(tmp_path / "missing" / "x.csv"), "file": str(taken)}
         code, _, err = run_cli(capsys, *[arg.format(**paths) for arg in argv])
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [["--x", "-1", "--mu", "1"], ["--x", "1", "--mu", "0"]])
+    def test_moment_checks_flags_before_computing(self, capsys, monkeypatch, bad):
+        def no_fill(m, n):
+            raise AssertionError("moment computed before its flags were checked")
+
+        monkeypatch.setattr("fparea.moments.joint_moment", no_fill)
+        code, out, err = run_cli(capsys, "moment", "--m", "30", "--n", "30", *bad)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
