@@ -24,14 +24,14 @@ where the bridge can fire:
    BRIDGE_LOG_FLOOR, so the bridge cannot fire before `entry`.  A band of
    0 switches the bridge off: no row starts at zero, so entry == stop.
 2. The caller draws the uniforms of the rows with entry < stop, u[r, j]
-   for step j from `entry` to the block end, and `scan_rows` runs the
-   bridge test on steps entry .. stop-1 of those rows.  It returns one
-   column per row: the first step whose bridge test fires, else `stop`.
-   A row with a result below `size` crossed in that step, by the bridge
-   if the result is below `stop`; everything else the caller needs it
-   gathers from the walk.  The scan reads no uniform before a row's
-   entry, nor any of a row with entry == stop, so those slots of `u` may
-   hold anything.
+   for step j from `entry` to `stop` - 1, and `scan_rows` runs the
+   bridge test on exactly those steps.  It returns one column per row:
+   the first step whose bridge test fires, else `stop`.  A row with a
+   result below `size` crossed in that step, by the bridge if the result
+   is below `stop`; everything else the caller needs it gathers from the
+   walk.  The scan reads no uniform before a row's entry or at or past
+   its stop, nor any of a row with entry == stop, so those slots of `u`
+   may hold anything.
 
 Two interchangeable backends exist: the scalar reference loops compiled
 with numba, and vectorized numpy twins used when numba is unavailable or
@@ -184,13 +184,13 @@ def scan_rows_numpy(dt, x, entry, stop, u):
         arg /= dt
         flat = arg.reshape(-1)
         # live lanes all lie at or past entry (the band is necessary for
-        # them); those past stop are dead, the endpoint hit wins first, and
-        # there the argument can go positive and exp overflow
-        live = np.flatnonzero(flat >= BRIDGE_LOG_FLOOR)
-        drawn = (u if whole else u[near]).reshape(-1)[live]
-        with np.errstate(over="ignore"):
-            fire = live[drawn < np.exp(flat[live])]
+        # them); those at or past stop are dropped, as their uniforms are
+        # not drawn.  Before stop both ends are positive, so exp(arg) <= 1.
         size = arg.shape[1]
+        live = np.flatnonzero(flat >= BRIDGE_LOG_FLOOR)
+        live = live[live % size < stop[near][live // size]]
+        drawn = (u if whole else u[near]).reshape(-1)[live]
+        fire = live[drawn < np.exp(flat[live])]
         np.minimum.at(at, near[fire // size], fire % size)
     return at
 

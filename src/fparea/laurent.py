@@ -33,7 +33,7 @@ class Poly:
     __slots__ = ("coeffs", "weight")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = (), weight: int = 0):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)

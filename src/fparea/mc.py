@@ -30,8 +30,10 @@ Philox is counter-based (Salmon et al., SC'11), so the double at any
 position is produced without the ones before it: in every round in which
 a row comes near zero, one uniform generator shared by all rows is keyed
 by one state write to the row's stream at its band entry in that round,
-and draws the row's uniforms from there to the block end.  Every uniform
-the kernel reads keeps its stream position, so no output byte can change.
+and draws the row's uniforms from there up to its `stop`, the first step
+of the block ending at or below zero (or the block end): the bridge test
+runs only before the endpoint crossing.  Every uniform the kernel reads
+keeps its stream position, so no output byte can change.
 
 Rounds: `run` scans all its paths in one pass over a fixed pool of up to
 64 row slots, each owning one Philox generator for its normals.  A slot
@@ -225,14 +227,15 @@ def _scan_paths(config: SimConfig, first: int, count: int) -> list[PassageSample
         s, x, area, entry, stop = kernels.walk_rows(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z)
         near = np.flatnonzero(entry < stop)
         u = np.empty((path.size, size))
-        for row, i, c, b in zip(near.tolist(), path[near].tolist(), entry[near].tolist(), base[near].tolist()):
-            # the uniforms of steps b + c to the block end, drawn from the
+        rows_near = (a[near].tolist() for a in (path, entry, stop, base))
+        for row, i, c, e, b in zip(near.tolist(), *rows_near):
+            # the uniforms of steps b + c to b + e - 1, drawn from the
             # Philox block boundary `at`, at most 3 positions before b + c
             at = _seek(gen_u.bit_generator, config.seed, 2 * (first + i) + 1, b + c)
             if at < b:
                 gen_u.random(b - at)  # unread, before this block
                 at = b
-            gen_u.random(out=u[row, at - b :])
+            gen_u.random(out=u[row, at - b : e])
         j = kernels.scan_rows(dt, x, entry, stop, u)
         # a step past a row's horizon does not count
         hit = j < np.minimum(limit, size)

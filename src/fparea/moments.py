@@ -67,17 +67,22 @@ def solve_back_substitution(rho: list[int]) -> list[int]:
     return q[:-1]
 
 
-def joint_moment(m: int, n: int) -> Poly:
-    """E[tau^m A^n] = mu^-(2m+3n) * P_{m,n}(mu*x), an exact Poly built once per
-    index after the integer lists are filled over the rectangle up to (m, n)."""
-    m, n = _validate_index((m, n))
+def _fill(m: int, n: int) -> list[int]:
+    """The integer list q_{m,n}, after filling the rectangle up to (m, n)."""
     for i in range(m + 1):
         for j in range(n + 1):
             if (i, j) not in _scaled:
                 _scaled[i, j] = solve_back_substitution(assemble_rhs((i, j)))
+    return _scaled[m, n]
+
+
+def joint_moment(m: int, n: int) -> Poly:
+    """E[tau^m A^n] = mu^-(2m+3n) * P_{m,n}(mu*x), an exact Poly built once per
+    index after the integer lists are filled over the rectangle up to (m, n)."""
+    m, n = _validate_index((m, n))
     if (m, n) not in _polys:
         D = m + 2 * n
-        coeffs = [Fraction(q, math.factorial(k) << (D - k)) for k, q in enumerate(_scaled[m, n])]
+        coeffs = [Fraction(q, math.factorial(k) << (D - k)) for k, q in enumerate(_fill(m, n))]
         _polys[m, n] = Poly(coeffs, 2 * m + 3 * n)
     return _polys[m, n]
 
@@ -97,19 +102,43 @@ def verify_ode_residual(idx: MomentIndex, poly: Poly) -> bool:
     return not residual
 
 
-def correlation_from_moments(x: float, mu: float) -> float:
-    """Correlation of (tau, A) computed from the moment table.
+def _integer_ratio(v) -> tuple[int, int]:
+    """Exact numerator and denominator of a rational or binary float input."""
+    if isinstance(v, numbers.Rational):
+        return int(v.numerator), int(v.denominator)
+    return v.as_integer_ratio()
 
-    The mu powers cancel in cov^2 / (var_tau * var_area), so five P_{m,n}
-    (V_{m,n} at mu = 1) are evaluated exactly at the binary rational
-    gamma = mu*x of the inputs and combined with one square root at the end.
-    Matches the gamma closed form to near machine precision.
+
+def _scaled_value(idx: MomentIndex, p: int, s: int) -> int:
+    """D! (2s)^D P_{m,n}(p/s) = sum_k q_k (2p)^k prod_{i=k+1..D} (i s), an integer."""
+    q = _fill(*idx)
+    t = 2 * p
+    acc, w = 0, 1
+    for k in range(len(q) - 1, -1, -1):
+        acc = acc * t + q[k] * w
+        w *= k * s
+    return acc
+
+
+def correlation_from_moments(x: float, mu: float) -> float:
+    """Correlation of (tau, A) computed from the integer moment lists.
+
+    The mu powers cancel in cov^2 / (var_tau * var_area), which depends on
+    gamma = mu*x alone.  With gamma = p/s from the inputs' integer ratios
+    (s a power of 2 for floats), N_{m,n} = D! (2s)^D P_{m,n}(gamma) with
+    D = m + 2n is an integer for each of the five moments used, and the
+    ratio is
+    4 (N11 - 3 N10 N01)^2 / (3 (N20 - 2 N10^2)(N02 - 6 N01^2)) exactly.  One
+    correctly rounded integer division and one square root give the result:
+    the correlation of the exact moments, rounded twice.
     """
     if not (0 < x < math.inf and 0 < mu < math.inf):
         raise ValueError(f"x and mu must be positive and finite, got x={x}, mu={mu}")
-    g = Fraction(x) * Fraction(mu)
-    p10, p01, p11, p20, p02 = (
-        joint_moment(*idx).evaluate(g, 1) for idx in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+    a, b = _integer_ratio(x)
+    c, d = _integer_ratio(mu)
+    p, s = a * c, b * d
+    n10, n01, n11, n20, n02 = (
+        _scaled_value(idx, p, s) for idx in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
     )
-    cov = p11 - p10 * p01
-    return math.sqrt(float(cov * cov / ((p20 - p10 * p10) * (p02 - p01 * p01))))
+    cov = n11 - 3 * n10 * n01
+    return math.sqrt(4 * cov * cov / (3 * (n20 - 2 * n10 * n10) * (n02 - 6 * n01 * n01)))

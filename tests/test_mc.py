@@ -233,10 +233,11 @@ def _split_scan(backend, x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z, u
 
     The normals go into columns 1.. of the block; column 0 holds NaN,
     which a walk that read it would carry into every result.  Only the
-    uniforms the driver would draw (rows with entry < stop, from entry on)
-    are passed; every other slot holds -1.0, which any read would turn
-    into a hit.  Returns the walk and, gathered from it at the scanned
-    column, the per-row tuple of `scan_rows_one_pass`.
+    uniforms the driver would draw (rows with entry < stop, from entry to
+    stop - 1) are passed; every other slot, those at and past stop
+    included, holds -1.0, which any read would turn into a hit.  Returns
+    the walk and, gathered from it at the scanned column, the per-row
+    tuple of `scan_rows_one_pass`.
     """
     walk, scan = backend
     rows, size = z.shape
@@ -246,7 +247,7 @@ def _split_scan(backend, x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z, u
     s, x, area, entry, stop = walked
     drawn = np.full(z.shape, -1.0)
     for r in np.flatnonzero(entry < stop):
-        drawn[r, entry[r] :] = u[r, entry[r] :]
+        drawn[r, entry[r] : stop[r]] = u[r, entry[r] : stop[r]]
     j = scan(dt, x, entry, stop, drawn)
     status = np.where(j == size, NO_EVENT, np.where(j == stop, ENDPOINT_HIT, BRIDGE_HIT))
     r = np.arange(rows)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -154,6 +155,9 @@ class TestStructureLaws:
             joint_moment(2, 1).evaluate(1.0, nan)
 
 
+CORRELATION_DIGEST = "6af3be18d8e9b1acb690b9932de41f5c89a2063edcafe7098fae5b737494acb2"
+
+
 class TestPinnedBytes:
     """Moment texts and float readouts, pinned bit for bit."""
 
@@ -175,6 +179,29 @@ class TestPinnedBytes:
         # mu**-W nor the exactly rounded value gives these bits
         assert joint_moment(3, 4).evaluate(0.7, 1.3).hex() == "0x1.2b4c8d126563bp+13"
         assert joint_moment(12, 9).evaluate(2.5, 0.4).hex() == "0x1.68e0a056ab24ep+168"
+
+    def test_correlation_bits(self):
+        # the correctly rounded square root of the correctly rounded exact
+        # ratio cov^2 / (var_tau var_A), over a seeded grid built from exact
+        # binary operations only, so the inputs are the same on every platform
+        rng = random.Random(6005)
+        points = [(rng.uniform(0.25, 4.0), rng.uniform(0.25, 4.0)) for _ in range(3000)]
+        # binary exponents uniform over -100..99, about 1e-30 .. 1e30
+        def spread():
+            return math.ldexp(1.0 + rng.random(), rng.randint(-100, 99))
+
+        points += [(spread(), spread()) for _ in range(3000)]
+        points += [(5e-324, 1.0), (1.0, 5e-324), (1e300, 1.0), (1.0, 1.0), (10.0, 0.5)]
+        bits = "\n".join(correlation_from_moments(x, mu).hex() for x, mu in points)
+        assert hashlib.sha256(bits.encode()).hexdigest() == CORRELATION_DIGEST
+        # other exact numeric types read as the float they equal
+        for x, mu, as_float in [
+            (3, 2, (3.0, 2.0)),
+            (F(3, 4), F(5, 8), (0.75, 0.625)),
+            (np.float64(0.3), np.float64(1.7), (0.3, 1.7)),
+            (np.int64(2), 1, (2.0, 1.0)),
+        ]:
+            assert correlation_from_moments(x, mu) == correlation_from_moments(*as_float)
 
 
 class TestDriver:
