@@ -8,30 +8,32 @@ shares the block.
 
 Block layout: a round of `size` steps is a (rows, size+1) block whose
 column 0 holds the carries.  The caller draws step k's normal into column
-k+1 of `z`; the value in column 0 of `z` is never used.  Column j of the
-walked arrays is the state after j steps of the block, so column 0 is the
-incoming carry and column -1 the carry of the next round, and step j of
-the block runs from column j to column j+1.
+k+1 of `z`, whose column 0 is never read and which the walk may overwrite.
+Column j of the walked arrays is the state after j steps of the block, so
+column 0 is the incoming carry, and step j of the block runs from column j
+to column j+1.
 
 A block is scanned in two phases, so that bridge uniforms are drawn only
 where the bridge can fire:
 
-1. `walk_rows` folds the increments and the trapezoid areas into `s`, `x`
-   and `area` and finds two columns per row: `stop`, the first step
-   ending at or below zero, and `entry`, the first step starting or
-   ending within `bridge_band(dt)` of zero (either is `size` if none).  A
-   step with both ends above the band has -2 X_j X_{j+1}/dt below
-   BRIDGE_LOG_FLOOR, so the bridge cannot fire before `entry`.  A band of
-   0 switches the bridge off: no row starts at zero, so entry == stop.
-2. The caller draws the uniforms of the rows with entry < stop, u[r, j]
-   for step j from `entry` to `stop` - 1, and `scan_rows` runs the
-   bridge test on exactly those steps.  It returns one column per row:
-   the first step whose bridge test fires, else `stop`.  A row with a
-   result below `size` crossed in that step, by the bridge if the result
-   is below `stop`; everything else the caller needs it gathers from the
-   walk.  The scan reads no uniform before a row's entry or at or past
-   its stop, nor any of a row with entry == stop, so those slots of `u`
-   may hold anything.
+1. `walk_rows` folds the increments and the trapezoid areas into `x` and
+   `area`, returns each row's running sum after the block (its next
+   carry), and finds two columns per row: `stop`, the first step ending at
+   or below zero, and `entry`, the first step starting or ending within
+   `bridge_band(dt)` of zero (either is `size` if none).  A step with both
+   ends above the band has -2 X_j X_{j+1}/dt below BRIDGE_LOG_FLOOR, so
+   the bridge cannot fire before `entry`.  A band of 0 switches the bridge
+   off: no row starts at zero, so entry == stop.
+2. `scan_rows` takes only the rows with entry < stop, and the caller draws
+   their uniforms, u[r, j] for step j from `entry` to `stop` - 1.  It runs
+   the bridge test on exactly those steps and returns one column per row:
+   the first step whose bridge test fires, else `stop`, which is also the
+   column of every row not passed.  A column below `size` means a crossing
+   in that step, by the bridge if below `stop`; everything else the caller
+   needs it gathers from the walk.  The scan reads no uniform before a
+   row's entry or at or past its stop.  Passing a row with entry == stop
+   breaks its precondition: at a band of 0 a step just above zero has a
+   live argument, whose uniform the numpy twin would read.
 
 Two interchangeable backends exist: the scalar reference loops compiled
 with numba, and vectorized numpy twins used when numba is unavailable or
@@ -48,8 +50,7 @@ which the test suite asserts draw-for-draw:
 - the bridge acceptance argument is written ((-2*X_j)*X_{j+1})/dt in
   both, compiled without fastmath so no reassociation sneaks in, and
   short-circuited to rejection below BRIDGE_LOG_FLOOR by the same rule;
-  the numpy twin computes it only on the rows with entry < stop and calls
-  exp only on their live lanes, gathered contiguously;
+  the numpy twin calls exp only on the live lanes, gathered contiguously;
 - crossing finalization (interpolation, partial areas) lives in the
   driver, shared by both backends.
 
@@ -99,25 +100,25 @@ def walk_rows_reference(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
     Row r walks X_{j+1} = X_j + drift + sqrt_dt * z[r, j+1] from
     X_0 = x0 + s_carry[r], adding the trapezoid (X_j + X_{j+1})/2 * dt of
     each step to area_carry[r].  Returns (s, x, area, entry, stop): the
-    running sums, positions and areas, each (rows, size+1) with the
-    carries in column 0, then the first step starting or ending at or
-    below `band` and the first step ending at or below zero (either is
-    `size` if none).
+    running increment sums after the block, the positions and areas, each
+    (rows, size+1) with the carries in column 0, then the first step
+    starting or ending at or below `band` and the first step ending at or
+    below zero (either is `size` if none).
     """
     rows, cols = z.shape
     size = cols - 1
-    s = np.empty((rows, cols))
+    s = np.empty(rows)
     x = np.empty((rows, cols))
     area = np.empty((rows, cols))
     entry = np.full(rows, size, dtype=np.int64)
     stop = np.full(rows, size, dtype=np.int64)
     for r in range(rows):
-        s[r, 0] = s_carry[r]
-        x[r, 0] = x0 + s_carry[r]
+        s[r] = s_carry[r]
+        x[r, 0] = x0 + s[r]
         area[r, 0] = area_carry[r]
         for j in range(size):
-            s[r, j + 1] = s[r, j] + (drift + sqrt_dt * z[r, j + 1])
-            x[r, j + 1] = x0 + s[r, j + 1]
+            s[r] += drift + sqrt_dt * z[r, j + 1]
+            x[r, j + 1] = x0 + s[r]
             area[r, j + 1] = area[r, j] + (0.5 * (x[r, j] + x[r, j + 1])) * dt
             if min(x[r, j], x[r, j + 1]) <= band and entry[r] == size:
                 entry[r] = j
@@ -129,11 +130,11 @@ def walk_rows_reference(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
 def scan_rows_reference(dt, x, entry, stop, u):
     """Phase 2, scalar reference; also the source compiled by numba.
 
-    Takes the positions, entry and stop of `walk_rows_reference`.  Step j
-    in entry[r] .. stop[r]-1 crosses by the bridge with probability
-    exp(-2 X_j X_{j+1} / dt), decided by the uniform u[r, j], the only
-    uniforms read.  Returns per row the first step that crosses so, or
-    stop[r] when none does.
+    Takes the rows of `walk_rows_reference` with entry < stop: their
+    positions, entry and stop.  Step j in entry[r] .. stop[r]-1 crosses
+    by the bridge with probability exp(-2 X_j X_{j+1} / dt), decided by
+    the uniform u[r, j], the only uniforms read.  Returns per row the
+    first step that crosses so, or stop[r] when none does.
     """
     at = stop.copy()
     for r in range(x.shape[0]):
@@ -154,11 +155,12 @@ def _first(mask):
 
 def walk_rows_numpy(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
     """Vectorized twin of `walk_rows_reference`; see module docstring."""
-    s = np.multiply(z, sqrt_dt)
-    s += drift
-    s[:, 0] = s_carry
-    np.cumsum(s, axis=1, out=s)
-    x = s + x0
+    z *= sqrt_dt
+    z += drift
+    z[:, 0] = s_carry
+    np.cumsum(z, axis=1, out=z)
+    s = z[:, -1].copy()
+    x = np.add(z, x0, out=z)
     area = np.empty_like(x)
     flat = x.reshape(-1)
     trap = area.reshape(-1)[1:]
@@ -174,24 +176,19 @@ def walk_rows_numpy(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
 
 def scan_rows_numpy(dt, x, entry, stop, u):
     """Vectorized twin of `scan_rows_reference`; see module docstring."""
+    arg = x[:, :-1] * -2.0
+    arg *= x[:, 1:]
+    arg /= dt
+    flat = arg.reshape(-1)
+    # live lanes all lie at or past entry (the band is necessary for
+    # them); those at or past stop are dropped, as their uniforms are
+    # not drawn.  Before stop both ends are positive, so exp(arg) <= 1.
+    size = arg.shape[1]
+    live = np.flatnonzero(flat >= BRIDGE_LOG_FLOOR)
+    live = live[live % size < stop[live // size]]
+    fire = live[u.reshape(-1)[live] < np.exp(flat[live])]
     at = stop.copy()
-    near = np.flatnonzero(entry < stop)
-    if near.size:
-        whole = near.size == len(x)
-        xn = x if whole else x[near]
-        arg = xn[:, :-1] * -2.0
-        arg *= xn[:, 1:]
-        arg /= dt
-        flat = arg.reshape(-1)
-        # live lanes all lie at or past entry (the band is necessary for
-        # them); those at or past stop are dropped, as their uniforms are
-        # not drawn.  Before stop both ends are positive, so exp(arg) <= 1.
-        size = arg.shape[1]
-        live = np.flatnonzero(flat >= BRIDGE_LOG_FLOOR)
-        live = live[live % size < stop[near][live // size]]
-        drawn = (u if whole else u[near]).reshape(-1)[live]
-        fire = live[drawn < np.exp(flat[live])]
-        np.minimum.at(at, near[fire // size], fire % size)
+    np.minimum.at(at, fire // size, fire % size)
     return at
 
 

@@ -44,22 +44,22 @@ block until the paths run out.  Each slot keeps its own `base`, the steps
 its path has consumed, and so its own horizon, max_steps - base.  A round
 draws the next block of normals of every slot straight into columns 1..
 of that slot's row of a (rows, block+1) array, column 0 holding the row's
-carries (see `kernels`).  It walks all rows in one kernel call, draws the
-uniforms of the rows that came near zero, and scans those for bridge
-crossings in a second call, which returns the crossing step of each row.
-A crossing counts only before the row's horizon; a row whose horizon
-falls within the block without one is censored there.  The rows that
-crossed are finalized from the positions and area gathered from the walk
-at that step; the others carry the running sum and area of the last
-column into the next round.  The block is a fixed working-set budget
-(2^15 doubles per array, 256 KB) divided among the rows, up to 8192 steps
-and never past the furthest horizon.  This cannot change a byte of the
-output: a row reads its own streams in stream order, so its draws are
-those of the one-path scan whatever the block lengths or the paths beside
-it; the kernel treats rows independently and folds the carries in the
-same order; and the crossing arithmetic below is the scalar expression
-applied elementwise.  `simulate_path` is the same pass over one path in
-one slot.
+carries (see `kernels`).  One kernel call walks all rows and returns each
+row's running sum after the block; only the rows that came near zero draw
+uniforms and go to the bridge scan, a second call that returns their
+crossing steps, and a round with no such row skips both.  A crossing
+counts only before the row's horizon; a row whose horizon falls within the
+block without one is censored there.  The rows that crossed are finalized
+from the positions and area gathered from the walk at that step; the
+others carry the running sum and area of the last column into the next
+round.  The block is a fixed working-set budget (2^15 doubles per array,
+256 KB) divided among the rows, up to 8192 steps and never past the
+furthest horizon.  This cannot change a byte of the output: a row reads
+its own streams in stream order, so its draws are those of the one-path
+scan whatever the block lengths or the paths beside it; the kernel treats
+rows independently and folds the carries in the same order; and the
+crossing arithmetic below is the scalar expression applied elementwise.
+`simulate_path` is the same pass over one path in one slot.
 
 Censoring: a path that reaches max_time (default 50*x/mu) without
 crossing is returned with censored=True, excluded from estimators, and
@@ -224,19 +224,21 @@ def _scan_paths(config: SimConfig, first: int, count: int) -> list[PassageSample
         z = np.empty((path.size, size + 1))
         for row, gen in enumerate(gens):
             gen.standard_normal(out=z[row, 1:])
-        s, x, area, entry, stop = kernels.walk_rows(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z)
+        s_carry, x, area, entry, stop = kernels.walk_rows(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z)
+        j = stop.copy()
         near = np.flatnonzero(entry < stop)
-        u = np.empty((path.size, size))
-        rows_near = (a[near].tolist() for a in (path, entry, stop, base))
-        for row, i, c, e, b in zip(near.tolist(), *rows_near):
-            # the uniforms of steps b + c to b + e - 1, drawn from the
-            # Philox block boundary `at`, at most 3 positions before b + c
-            at = _seek(gen_u.bit_generator, config.seed, 2 * (first + i) + 1, b + c)
-            if at < b:
-                gen_u.random(b - at)  # unread, before this block
-                at = b
-            gen_u.random(out=u[row, at - b : e])
-        j = kernels.scan_rows(dt, x, entry, stop, u)
+        if near.size:
+            u = np.empty((near.size, size))
+            rows_near = (a[near].tolist() for a in (path, entry, stop, base))
+            for row, (i, c, e, b) in enumerate(zip(*rows_near)):
+                # the uniforms of steps b + c to b + e - 1, drawn from the
+                # Philox block boundary `at`, at most 3 positions before b + c
+                at = _seek(gen_u.bit_generator, config.seed, 2 * (first + i) + 1, b + c)
+                if at < b:
+                    gen_u.random(b - at)  # unread, before this block
+                    at = b
+                gen_u.random(out=u[row, at - b : e])
+            j[near] = kernels.scan_rows(dt, x[near], entry[near], stop[near], u)
         # a step past a row's horizon does not count
         hit = j < np.minimum(limit, size)
         if hit.any():
@@ -259,7 +261,7 @@ def _scan_paths(config: SimConfig, first: int, count: int) -> list[PassageSample
         censored = ~hit & (limit <= size)
         for i, a in zip(path[censored].tolist(), area[censored, limit[censored]].tolist()):
             out[i] = PassageSample(max_steps * dt, a, max_steps, True)
-        s_carry, area_carry = s[:, -1].copy(), area[:, -1].copy()
+        area_carry = area[:, -1].copy()
         base += size
         done = np.flatnonzero(hit | censored)
         refill = done[: count - started]

@@ -109,16 +109,15 @@ def scan_rows_one_pass(x0, s_carry, area_carry, drift, sqrt_dt, dt, use_bridge, 
     X = x0 + s_carry[r].  A step ending at or below zero is an
     ENDPOINT_HIT; otherwise, when use_bridge, the step is a BRIDGE_HIT with
     probability exp(-2 X_k X_{k+1} / dt) decided by u[r, k].  Returns per
-    row (status, j, x_before, x_after, s_before, area_before): j is the
-    in-block step of the hit and the s/area values exclude it; on
-    NO_EVENT, j is the block length and the rest the end-of-block state.
+    row (status, j, x_before, x_after, area_before): j is the in-block
+    step of the hit and the area excludes it; on NO_EVENT, j is the block
+    length and the rest the end-of-block state.
     """
     rows, nsteps = z.shape
     status = np.zeros(rows, dtype=np.int64)
     index = np.empty(rows, dtype=np.int64)
     x_before = np.empty(rows)
     x_after = np.empty(rows)
-    s_before = np.empty(rows)
     area_before = np.empty(rows)
     for r in range(rows):
         s = s_carry[r]
@@ -145,6 +144,5 @@ def scan_rows_one_pass(x0, s_carry, area_carry, drift, sqrt_dt, dt, use_bridge, 
         index[r] = at
         x_before[r] = x
         x_after[r] = x_next
-        s_before[r] = s
         area_before[r] = area
-    return status, index, x_before, x_after, s_before, area_before
+    return status, index, x_before, x_after, area_before

@@ -233,11 +233,12 @@ def _split_scan(backend, x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z, u
 
     The normals go into columns 1.. of the block; column 0 holds NaN,
     which a walk that read it would carry into every result.  Only the
-    uniforms the driver would draw (rows with entry < stop, from entry to
-    stop - 1) are passed; every other slot, those at and past stop
-    included, holds -1.0, which any read would turn into a hit.  Returns
-    the walk and, gathered from it at the scanned column, the per-row
-    tuple of `scan_rows_one_pass`.
+    rows with entry < stop are scanned, with the uniforms the driver
+    would draw for them (from entry to stop - 1); every other slot, those
+    at and past stop included, holds -1.0, which any read would turn into
+    a hit.  The other rows take stop, as in the driver.  Returns the walk
+    and, gathered from it at the scanned column, the per-row tuple of
+    `scan_rows_one_pass`.
     """
     walk, scan = backend
     rows, size = z.shape
@@ -245,13 +246,16 @@ def _split_scan(backend, x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z, u
     block[:, 1:] = z
     walked = walk(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, block)
     s, x, area, entry, stop = walked
-    drawn = np.full(z.shape, -1.0)
-    for r in np.flatnonzero(entry < stop):
-        drawn[r, entry[r] : stop[r]] = u[r, entry[r] : stop[r]]
-    j = scan(dt, x, entry, stop, drawn)
+    near = np.flatnonzero(entry < stop)
+    drawn = np.full((near.size, size), -1.0)
+    for k, r in enumerate(near):
+        drawn[k, entry[r] : stop[r]] = u[r, entry[r] : stop[r]]
+    j = stop.copy()
+    if near.size:
+        j[near] = scan(dt, x[near], entry[near], stop[near], drawn)
     status = np.where(j == size, NO_EVENT, np.where(j == stop, ENDPOINT_HIT, BRIDGE_HIT))
     r = np.arange(rows)
-    return walked, (status, j, x[r, j], x[r, np.minimum(j + 1, size)], s[r, j], area[r, j])
+    return walked, (status, j, x[r, j], x[r, np.minimum(j + 1, size)], area[r, j])
 
 
 class TestBackends:
@@ -283,7 +287,7 @@ class TestBackends:
                     backend, x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z[:, :n1], u[:, :n1]
                 )
                 live = np.flatnonzero(got1[0] == NO_EVENT)
-                s_end, area_end = walk1[0][live, -1], walk1[2][live, -1]
+                s_end, area_end = walk1[0][live], walk1[2][live, -1]
                 walk2, got2 = _split_scan(
                     backend, x0, s_end, area_end, drift, sqrt_dt, dt, band, z[live, n1:], u[live, n1:]
                 )
