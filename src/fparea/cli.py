@@ -132,8 +132,8 @@ def _positive(name: str, value: float) -> float:
 def _sim_config(args, x: float, mu: float) -> SimConfig:
     return SimConfig(
         params=ModelParams(x, mu),
-        dt=_positive("--dt", args.dt),
-        paths=int(_positive("--paths", args.paths)),
+        dt=args.dt,
+        paths=args.paths,
         seed=args.seed,
         bridge_correction=not args.no_bridge,
     )

@@ -97,7 +97,7 @@ class Poly:
         normal range, even where the value does not; the readout then
         rounds the exact value once, and raises
         ValueError only when the value itself is beyond the float range, or
-        when x or mu is NaN.
+        when x or mu is NaN or infinite.
         """
         if isinstance(x, (int, Fraction)) and isinstance(mu, (int, Fraction)):
             if mu <= 0:
@@ -114,6 +114,8 @@ class Poly:
             raise ValueError(f"mu must be positive, got {mu}")
         if math.isnan(xf):
             raise ValueError(f"x must be a number, got {x}")
+        if math.isinf(xf) or math.isinf(muf):
+            raise ValueError(f"x and mu must be finite, got x={xf:g}, mu={muf:g}")
         try:
             acc = 0.0
             for k in range(self.degree, -1, -1):

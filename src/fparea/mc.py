@@ -129,8 +129,11 @@ class SimConfig:
             object.__setattr__(self, "max_time", 50.0 * self.params.x / self.params.mu)
         elif not self.max_time > 0:
             raise ValueError(f"max_time must be positive, got {self.max_time}")
-        if not (math.isfinite(self.max_time) and math.isfinite(self.max_time / self.dt)):
-            raise ValueError(f"the horizon max_time/dt = {self.max_time:g}/{self.dt:g} must be finite")
+        # the step counters are int64
+        if not (math.isfinite(self.max_time) and self.max_time / self.dt < 2**63):
+            raise ValueError(
+                f"the horizon max_time/dt = {self.max_time:g}/{self.dt:g} must be finite and below 2^63 steps"
+            )
 
     @property
     def max_steps(self) -> int:

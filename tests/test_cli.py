@@ -57,6 +57,11 @@ class TestMoment:
         assert code == 2
         code, _, err = run_cli(capsys, "moment", "--m", "1", "--n", "0", "--x", "0", "--mu", "1")
         assert code == 2
+        for x, mu in (("1", "inf"), ("inf", "1")):
+            code, out, err = run_cli(capsys, "moment", "--m", "1", "--n", "1", "--x", x, "--mu", mu)
+            assert code == 2
+            assert out == ""
+            assert "error:" in err and "must be finite" in err
 
     def test_readout_past_float_powers(self, capsys):
         # mu**-35 overflows a double, the moment itself does not
@@ -218,6 +223,14 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--x", "1", "--mu", "1e-320", "--paths", "2")
         assert code == 2
         assert "error:" in err and "must be finite" in err
+        # horizons of 2^63 steps and more overflow the step counters
+        for argv in (
+            ("--x", "1", "--mu", "1", "--paths", "2", "--dt", "1e-300"),
+            ("--x", "1e300", "--mu", "1", "--paths", "2"),
+        ):
+            code, _, err = run_cli(capsys, "simulate", *argv)
+            assert code == 2, argv
+            assert "error:" in err and "max_time/dt" in err
 
 
 class TestDensity:

@@ -71,6 +71,11 @@ class TestHandExamples:
         with pytest.raises(ValueError):
             X_OVER_MU.evaluate(F(1), F(-1, 2))
 
+    def test_evaluate_rejects_infinite_inputs(self):
+        for x, mu in ((1.0, math.inf), (math.inf, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                TAU_AREA.evaluate(x, mu)
+
 
 def random_poly(rng, weight=None) -> Poly:
     """Random homogeneous polynomial; random weight unless one is given."""

@@ -83,6 +83,9 @@ class TestConfig:
             ("seed", 2**64),
             ("max_time", -5.0),
             ("max_time", math.inf),
+            # 5e301 and 1e303 steps overflow the int64 step counters
+            ("dt", 1e-300),
+            ("max_time", 1e300),
         ]:
             with pytest.raises(ValueError):
                 SimConfig(**{**good, field: value})
@@ -393,6 +396,32 @@ class TestRounds:
         monkeypatch.setattr(kernels, "walk_rows", counted)
         steps = sum(s.steps for s in run(cfg))
         assert steps / normals >= 0.75
+
+    def test_scan_only_rounds_with_near_rows(self, monkeypatch):
+        # Without the bridge the band is 0, so no round scans.  At
+        # x = 10 a path spends most of its ~20000 steps far from zero, so
+        # most rounds have no row in the bridge band and skip the scan.
+        calls = {"walk": 0, "scan": 0}
+
+        def counting(name, kernel):
+            def counted(*args):
+                calls[name] += 1
+                return kernel(*args)
+
+            return counted
+
+        for bridge, x, check in (
+            (False, 1.0, lambda: calls["scan"] == 0 < calls["walk"]),
+            (True, 10.0, lambda: 0 < calls["scan"] < calls["walk"]),
+        ):
+            cfg = SimConfig(ModelParams(x=x, mu=0.5), dt=1e-3, paths=20, seed=3, bridge_correction=bridge)
+            want = run(cfg)
+            calls.update(walk=0, scan=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "walk_rows", counting("walk", kernels.walk_rows))
+                patch.setattr(kernels, "scan_rows", counting("scan", kernels.scan_rows))
+                assert run(cfg) == want
+            assert check(), (bridge, calls)
 
 
 class TestBridgeBias:
