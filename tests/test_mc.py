@@ -398,30 +398,29 @@ class TestRounds:
         assert steps / normals >= 0.75
 
     def test_scan_only_rounds_with_near_rows(self, monkeypatch):
-        # Without the bridge the band is 0, so no round scans.  At
-        # x = 10 a path spends most of its ~20000 steps far from zero, so
-        # most rounds have no row in the bridge band and skip the scan.
-        calls = {"walk": 0, "scan": 0}
-
-        def counting(name, kernel):
-            def counted(*args):
-                calls[name] += 1
-                return kernel(*args)
-
-            return counted
-
-        for bridge, x, check in (
-            (False, 1.0, lambda: calls["scan"] == 0 < calls["walk"]),
-            (True, 10.0, lambda: 0 < calls["scan"] < calls["walk"]),
-        ):
+        # Without the bridge the band is 0, so no round scans.  At x = 10 a
+        # path spends most of its ~20000 steps far from zero, so some rounds
+        # have no row in the bridge band and skip the scan.
+        def kernel_calls(x, bridge):
             cfg = SimConfig(ModelParams(x=x, mu=0.5), dt=1e-3, paths=20, seed=3, bridge_correction=bridge)
             want = run(cfg)
-            calls.update(walk=0, scan=0)
+            calls = {"walk_rows": 0, "scan_rows": 0}
             with monkeypatch.context() as patch:
-                patch.setattr(kernels, "walk_rows", counting("walk", kernels.walk_rows))
-                patch.setattr(kernels, "scan_rows", counting("scan", kernels.scan_rows))
+                for name in calls:
+                    kernel = getattr(kernels, name)
+
+                    def counted(*args, name=name, kernel=kernel):
+                        calls[name] += 1
+                        return kernel(*args)
+
+                    patch.setattr(kernels, name, counted)
                 assert run(cfg) == want
-            assert check(), (bridge, calls)
+            return calls["walk_rows"], calls["scan_rows"]
+
+        walks, scans = kernel_calls(1.0, bridge=False)
+        assert scans == 0 < walks
+        walks, scans = kernel_calls(10.0, bridge=True)
+        assert 0 < scans < walks
 
 
 class TestBridgeBias:
