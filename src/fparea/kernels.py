@@ -179,14 +179,15 @@ def scan_rows_numpy(dt, x, entry, stop, u):
     arg = x[:, :-1] * -2.0
     arg *= x[:, 1:]
     arg /= dt
-    flat = arg.reshape(-1)
     # live lanes all lie at or past entry (the band is necessary for
-    # them); those at or past stop are dropped, as their uniforms are
-    # not drawn.  Before stop both ends are positive, so exp(arg) <= 1.
+    # them); the row-wise mask drops those at or past stop, as their
+    # uniforms are not drawn.  Before stop both ends are positive, so
+    # exp(arg) <= 1.
     size = arg.shape[1]
-    live = np.flatnonzero(flat >= BRIDGE_LOG_FLOOR)
-    live = live[live % size < stop[live // size]]
-    fire = live[u.reshape(-1)[live] < np.exp(flat[live])]
+    live = arg >= BRIDGE_LOG_FLOOR
+    live &= np.arange(size) < stop[:, None]
+    live = np.flatnonzero(live)
+    fire = live[u.reshape(-1)[live] < np.exp(arg.reshape(-1)[live])]
     at = stop.copy()
     np.minimum.at(at, fire // size, fire % size)
     return at

@@ -4,7 +4,7 @@ Brownian scaling makes every joint moment E[tau^m A^n] of drifted Brownian
 motion killed at zero equal to mu^-(2m+3n) * P_{m,n}(mu*x), with P_{m,n} a
 polynomial over the rationals.  `Poly` holds that shape: a weight W and the
 coefficients c_k of gamma = mu*x, so the coefficient of x^k is the single
-monomial c_k * mu^(k-W).
+monomial c_k * mu^(k-W).  Each c_k is stored as nums[k] / den, over one den > 0.
 
 All arithmetic is exact.  Floating point appears only on the `evaluate`
 readout path, and only when the caller passes a float.
@@ -16,59 +16,69 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable
 
 
 class Poly:
-    """Homogeneous polynomial mu^-weight * sum_k coeffs[k] * (mu x)^k.
+    """Homogeneous polynomial mu^-weight * sum_k (nums[k] / den) * (mu x)^k.
 
-    Trailing zero coefficients are trimmed on construction, so the leading
-    coefficient is nonzero unless the polynomial is zero (empty tuple,
+    Built from int or Fraction coefficients (over `den`) in lowest terms,
+    read back as `Fraction`s by `coeffs`; trailing zeros are trimmed, so the
+    leading numerator is nonzero unless the polynomial is zero (empty tuple,
     degree -1, weight 0).  Sums need equal weights, zero being neutral;
-    products add them.  Moment polynomials additionally vanish at x = 0;
-    that invariant belongs to the moment table, not to this type, because
-    formal derivatives legitimately carry constant terms.
+    products add them.  Moment polynomials vanish at x = 0; that invariant
+    belongs to the moment table, not to this type, because formal
+    derivatives legitimately carry constant terms.
     """
 
-    __slots__ = ("coeffs", "weight")
+    __slots__ = ("nums", "den", "weight")
 
-    def __init__(self, coeffs: Iterable[int | Fraction] = (), weight: int = 0):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self.weight = int(weight) if cs else 0
+    def __init__(self, coeffs: Iterable[int | Fraction] = (), weight: int = 0, den: int = 1):
+        nums = list(coeffs)
+        if not all(type(c) is int for c in nums):
+            den *= (scale := math.lcm(*(Fraction(c).denominator for c in nums)))
+            nums = [int(Fraction(c) * scale) for c in nums]
+        while nums and not nums[-1]:
+            nums.pop()
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        g = math.gcd(den, *nums)
+        self.nums = tuple(c // g for c in nums)
+        self.den = den // g
+        self.weight = int(weight) if nums else 0
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of gamma^k; zero outside 0..degree."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.weight == other.weight and self.coeffs == other.coeffs
+        return (self.weight, self.den, self.nums) == (other.weight, other.den, other.nums)
 
     def __neg__(self) -> "Poly":
-        return Poly((-c for c in self.coeffs), self.weight)
+        return Poly([-c for c in self.nums], self.weight, self.den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
+        if not (self.nums and other.nums):
+            return self if self.nums else other
         if self.weight != other.weight:
             raise ValueError(f"cannot add polynomials of weight {self.weight} and {other.weight}")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly((self.coefficient(k) + other.coefficient(k) for k in range(n)), self.weight)
+        a, b = other.den, self.den
+        nums = [a * u + b * v for u, v in zip_longest(self.nums, other.nums, fillvalue=0)]
+        return Poly(nums, self.weight, a * b)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -76,18 +86,18 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self.nums or not other.nums:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-        return Poly(out, self.weight + other.weight)
+        return Poly(out, self.weight + other.weight, self.den * other.den)
 
     def differentiate(self) -> "Poly":
         """Formal derivative in x (weight - 1); the result may have a constant term."""
-        return Poly((k * self.coeffs[k] for k in range(1, len(self.coeffs))), self.weight - 1)
+        return Poly([k * self.nums[k] for k in range(1, len(self.nums))], self.weight - 1, self.den)
 
     def evaluate(self, x, mu):
         """Readout at (x, mu), mu > 0; exact when both are int or Fraction.
@@ -103,11 +113,11 @@ class Poly:
             if mu <= 0:
                 raise ValueError(f"mu must be positive, got {mu}")
             muq = Fraction(mu)
-            gamma = Fraction(x) * muq
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * gamma + c
-            return acc * muq**-self.weight
+            p, s = (Fraction(x) * muq).as_integer_ratio()
+            acc, w = 0, 1  # acc ends as s^D den P(gamma), w as s^(D+1)
+            for c in reversed(self.nums):
+                acc, w = acc * p + c * w, w * s
+            return Fraction(acc * s, w * self.den) * muq**-self.weight
         xf = float(x)
         muf = float(mu)
         if not muf > 0.0:
@@ -119,13 +129,13 @@ class Poly:
         try:
             acc = 0.0
             for k in range(self.degree, -1, -1):
-                c = self.coeffs[k]
+                c = self.nums[k]
                 term = 0
                 if c:
                     power = muf ** (k - self.weight)
                     if power < sys.float_info.min:
                         break  # underflowed: the term would read as 0 or lose bits
-                    term = float(c) * power
+                    term = c / self.den * power  # int / int rounds correctly
                 acc = acc * xf + term
             else:
                 if math.isfinite(acc):
@@ -144,12 +154,15 @@ class Poly:
         decreasing x power; a weight-0 constant renders as a bare rational
         (``1``), zero as ``0``.  `parse_polynomial` inverts this exactly.
         """
-        if not self.coeffs:
-            return "0"
-        if self.degree == 0 and self.weight == 0:
-            return str(self.coeffs[0])
-        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
-        return " + ".join(f"({c})*x^{k}*mu^{k - self.weight}" for k, c in reversed(terms))
+        if self.degree <= 0 and self.weight == 0:
+            return str(self.coefficient(0))
+        terms = []
+        for k in range(self.degree, -1, -1):
+            if c := self.nums[k]:
+                g = math.gcd(c, self.den)
+                q = f"/{self.den // g}" if g != self.den else ""
+                terms.append(f"({c // g}{q})*x^{k}*mu^{k - self.weight}")
+        return " + ".join(terms)
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()})"

@@ -21,22 +21,21 @@ D = m + 2n.  Matching the coefficient of gamma^j in
 so going down from q_{D+1} = 0, q_k = q_{k+1} - rho_{k-1}, and q_0 = 0.
 No step divides, so from the base V_{0,0} = 1 (q_{0,0} = [1], the one entry
 that does not vanish at zero) every q_k is an integer by induction on m+n.
-The `Poly` with c_k = q_k / (k! 2^(D-k)) and weight 2m+3n is built only
-when an index is requested.
+The filled set is a staircase of rows by m, each contiguous in n; a `Poly`
+holds nums_k = q_k (D!/k!) 2^k over D! 2^D, built once an index is requested.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 
 from .laurent import Poly
 
 MomentIndex = tuple[int, int]
 
-# integer lists q of the filled indices, and the Polys built from them
-_scaled: dict[MomentIndex, list[int]] = {(0, 0): [1]}
+# the staircase of integer lists, q_{m,n} = _rows[m][n], and the Polys built from them
+_rows: list[list[list[int]]] = [[[1]]]
 _polys: dict[MomentIndex, Poly] = {}
 
 
@@ -51,10 +50,10 @@ def assemble_rhs(idx: MomentIndex) -> list[int]:
     m, n = idx
     rho = [0] * (m + 2 * n)
     if m:
-        for j, q in enumerate(_scaled[m - 1, n]):
+        for j, q in enumerate(_rows[m - 1][n]):
             rho[j] -= m * q
     if n:
-        for j, q in enumerate(_scaled[m, n - 1], start=1):
+        for j, q in enumerate(_rows[m][n - 1], start=1):
             rho[j] -= n * j * q
     return rho
 
@@ -68,12 +67,12 @@ def solve_back_substitution(rho: list[int]) -> list[int]:
 
 
 def _fill(m: int, n: int) -> list[int]:
-    """The integer list q_{m,n}, after filling the rectangle up to (m, n)."""
-    for i in range(m + 1):
-        for j in range(n + 1):
-            if (i, j) not in _scaled:
-                _scaled[i, j] = solve_back_substitution(assemble_rhs((i, j)))
-    return _scaled[m, n]
+    """The integer list q_{m,n}, after extending rows 0..m through column n."""
+    _rows.extend([] for _ in range(len(_rows), m + 1))
+    for i, row in enumerate(_rows[: m + 1]):
+        for j in range(len(row), n + 1):
+            row.append(solve_back_substitution(assemble_rhs((i, j))))
+    return _rows[m][n]
 
 
 def joint_moment(m: int, n: int) -> Poly:
@@ -82,8 +81,11 @@ def joint_moment(m: int, n: int) -> Poly:
     m, n = _validate_index((m, n))
     if (m, n) not in _polys:
         D = m + 2 * n
-        coeffs = [Fraction(q, math.factorial(k) << (D - k)) for k, q in enumerate(_fill(m, n))]
-        _polys[m, n] = Poly(coeffs, 2 * m + 3 * n)
+        nums, f = list(_fill(m, n)), 1  # f = D!/k!
+        for k in range(D, -1, -1):
+            nums[k] = nums[k] * f << k
+            f *= k or 1
+        _polys[m, n] = Poly(nums, 2 * m + 3 * n, f << D)
     return _polys[m, n]
 
 
@@ -94,19 +96,12 @@ def verify_ode_residual(idx: MomentIndex, poly: Poly) -> bool:
     if poly.weight != 2 * m + 3 * n:
         return False
     dv = poly.differentiate()
-    residual = Poly([Fraction(1, 2)]) * dv.differentiate() - Poly([1], weight=-1) * dv  # mu V'
+    residual = Poly([1], den=2) * dv.differentiate() - Poly([1], weight=-1) * dv  # mu V'
     if m:
         residual = residual + Poly([m]) * joint_moment(m - 1, n)
     if n:
         residual = residual + Poly([0, n], weight=1) * joint_moment(m, n - 1)  # n x
     return not residual
-
-
-def _integer_ratio(v) -> tuple[int, int]:
-    """Exact numerator and denominator of a rational or binary float input."""
-    if isinstance(v, numbers.Rational):
-        return int(v.numerator), int(v.denominator)
-    return v.as_integer_ratio()
 
 
 def _scaled_value(idx: MomentIndex, p: int, s: int) -> int:
@@ -134,9 +129,11 @@ def correlation_from_moments(x: float, mu: float) -> float:
     """
     if not (0 < x < math.inf and 0 < mu < math.inf):
         raise ValueError(f"x and mu must be positive and finite, got x={x}, mu={mu}")
-    a, b = _integer_ratio(x)
-    c, d = _integer_ratio(mu)
-    p, s = a * c, b * d
+    p, s = 1, 1
+    for v in (x, mu):  # exact integer ratios, of binary floats too
+        rational = isinstance(v, numbers.Rational)
+        a, b = (v.numerator, v.denominator) if rational else v.as_integer_ratio()
+        p, s = p * int(a), s * int(b)
     n10, n01, n11, n20, n02 = (
         _scaled_value(idx, p, s) for idx in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
     )

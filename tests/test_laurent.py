@@ -6,7 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import solve_explicit_inverse
+
 from fparea.laurent import Poly, parse_polynomial
+from fparea.moments import joint_moment
 
 
 def P(weight, *coeffs):
@@ -191,3 +194,44 @@ class TestTextFormat:
         for _ in range(300):
             p = random_poly(rng)
             assert parse_polynomial(p.to_text()) == p
+
+
+class TestRepresentation:
+    def test_fractions_and_integers_over_one_denominator_agree(self):
+        assert Poly([F(1, 2), F(1, 3)], 1) == Poly([3, 2], 1, den=6)
+        assert Poly([3, 2], 1, den=6).coeffs == (F(1, 2), F(1, 3))
+        assert Poly([2, 4, 0], 3, den=4) == P(3, F(1, 2), 1)
+        for den in (0, -4):
+            with pytest.raises(ValueError, match="denominator must be positive"):
+                Poly([1], den=den)
+
+    def test_stored_form_is_canonical(self):
+        rng = np.random.default_rng(109)
+        polys = [random_poly(rng) for _ in range(300)]
+        polys += [joint_moment(m, d - m) for d in range(13) for m in range(d + 1)]
+        for p in polys:
+            assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+            assert all(type(c) is int for c in p.nums)
+            assert all(type(c) is F and c == F(n, p.den) for c, n in zip(p.coeffs, p.nums))
+            assert p.coeffs == tuple(p.coefficient(k) for k in range(p.degree + 1))
+            assert not p.nums or p.nums[-1] != 0
+
+    def test_zero_has_weight_zero(self):
+        for zero in [Poly([0, 0], 5), Poly([], 3, den=7), P(4, 0, F(1, 2)) - P(4, 0, F(1, 2))]:
+            assert zero == ZERO
+            assert (zero.nums, zero.den, zero.weight, zero.degree) == ((), 1, 0, -1)
+
+    def test_exact_readout_is_the_rational_value(self):
+        # the Fraction Horner over the oracle's coefficients, on the d <= 8 triangle
+        table = {(0, 0): Poly([1])}
+        points = [(F(0), F(7)), (F(1), F(1)), (F(3, 2), F(5, 7)), (F(-2, 9), F(11, 4)), (4, 3)]
+        for d in range(1, 9):
+            for m in range(d + 1):
+                table[m, d - m] = solve_explicit_inverse((m, d - m), table)
+        for (m, n), oracle in table.items():
+            for x, mu in points:
+                gamma = F(x) * F(mu)
+                want = sum((c * gamma**k for k, c in enumerate(oracle.coeffs)), F(0))
+                want *= F(mu) ** -oracle.weight
+                got = joint_moment(m, n).evaluate(x, mu)
+                assert type(got) is F and got == want, (m, n, x, mu)

@@ -2,8 +2,12 @@
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,7 @@ class TestStructureLaws:
 
 
 CORRELATION_DIGEST = "6af3be18d8e9b1acb690b9932de41f5c89a2063edcafe7098fae5b737494acb2"
+EVALUATE_DIGEST = "82f0087767f02ed2693df2d1c21690eae54e5bc8b11e37e43b1ae2a8a97a0506"
 
 
 class TestPinnedBytes:
@@ -179,6 +184,30 @@ class TestPinnedBytes:
         # mu**-W nor the exactly rounded value gives these bits
         assert joint_moment(3, 4).evaluate(0.7, 1.3).hex() == "0x1.2b4c8d126563bp+13"
         assert joint_moment(12, 9).evaluate(2.5, 0.4).hex() == "0x1.68e0a056ab24ep+168"
+
+    def test_evaluate_bits(self):
+        # every float readout of the m+n <= 32 triangle over a seeded point
+        # set built from exact binary operations; (1, 1e6) takes the
+        # underflow break, (1e-100, 1e-10) the exact fallback and, at the
+        # higher orders, the float-range error; each error's message counts
+        rng = random.Random(6015)
+
+        def spread(lo, hi):
+            return math.ldexp(1.0 + rng.random(), rng.randint(lo, hi))
+
+        points = [(spread(-3, 2), spread(-3, 2)) for _ in range(8)]
+        points += [(spread(-20, 19), spread(-20, 19)) for _ in range(4)]
+        points += [(1.0, 1e6), (1e-100, 1e-10), (math.nan, 1.0), (1.0, 0.0), (math.inf, 1.0)]
+        lines = []
+        for d in range(33):
+            for m in range(d + 1):
+                poly = joint_moment(m, d - m)
+                for x, mu in points:
+                    try:
+                        lines.append(poly.evaluate(x, mu).hex())
+                    except ValueError as exc:
+                        lines.append(str(exc))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EVALUATE_DIGEST
 
     def test_correlation_bits(self):
         # the correctly rounded square root of the correctly rounded exact
@@ -213,6 +242,34 @@ class TestDriver:
         for m, n in [(-1, 0), (1.5, 0)]:
             with pytest.raises(ValueError, match=rf"\({m}, {n}\)"):
                 joint_moment(m, n)
+
+    @pytest.mark.parametrize("order", ["reverse", "shuffled"])
+    def test_fill_order_cannot_change_the_texts(self, order):
+        # the moment caches are global, so only a fresh interpreter starts
+        # from an empty table; correlations fill their own corner in between
+        script = (
+            "import hashlib, random, sys\n"
+            "from fparea.moments import correlation_from_moments, joint_moment\n"
+            "triangle = [(m, d - m) for d in range(21) for m in range(d + 1)]\n"
+            "requests = triangle[::-1]\n"
+            "if sys.argv[1] == 'shuffled':\n"
+            "    random.Random(6016).shuffle(requests)\n"
+            "for i, (m, n) in enumerate(requests):\n"
+            "    joint_moment(m, n)\n"
+            "    if i % 7 == 0:\n"
+            "        correlation_from_moments(1.0 + i, 0.5)\n"
+            "texts = [joint_moment(m, n).to_text() for m, n in triangle]\n"
+            "print(hashlib.sha256('\\n'.join(texts).encode()).hexdigest())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, order],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "e7622c3c68e01a28a3450676c01714a93f6aa50aa0c1c991ff06b0b1ed488154"
+        )
 
 
 class TestAgainstDensityQuadrature:
