@@ -107,7 +107,9 @@ class Poly:
         normal range, even where the value does not; the readout then
         rounds the exact value once, and raises
         ValueError only when the value itself is beyond the float range, or
-        when x or mu is NaN or infinite.
+        when x or mu is NaN or infinite.  With x > 0 and no negative
+        coefficient, a largest term past the float range raises at once,
+        without the exact value.
         """
         if isinstance(x, (int, Fraction)) and isinstance(mu, (int, Fraction)):
             if mu <= 0:
@@ -142,10 +144,22 @@ class Poly:
                     return acc
         except OverflowError:
             pass
+        too_large = f"the value at x={xf:g}, mu={muf:g} exceeds the float range"
+        if xf > 0.0 and all(c >= 0 for c in self.nums):
+            # No term is negative, so the value is at least its largest term;
+            # past 2^1025 (a margin of 1 for the rounding of the logs) it
+            # rounds beyond the largest double, and needs no exact value.
+            lx, lmu, lden = math.log2(xf), math.log2(muf), math.log2(self.den)
+            top = max(
+                (math.log2(c) - lden + k * lx + (k - self.weight) * lmu for k, c in enumerate(self.nums) if c),
+                default=-math.inf,
+            )
+            if top > 1025:
+                raise ValueError(too_large)
         try:
             return float(self.evaluate(Fraction(xf), Fraction(muf)))
         except OverflowError:
-            raise ValueError(f"the value at x={xf:g}, mu={muf:g} exceeds the float range") from None
+            raise ValueError(too_large) from None
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``(1/2)*x^3*mu^-2 + (1)*x^2*mu^-3``.

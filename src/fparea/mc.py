@@ -61,6 +61,21 @@ rows independently and folds the carries in the same order; and the
 crossing arithmetic below is the scalar expression applied elementwise.
 `simulate_path` is the same pass over one path in one slot.
 
+Workers: since every path is a pure function of (config, stream_index),
+`run` may split its paths into contiguous ranges and scan them in
+separate processes without changing a byte.  It does so with one range
+per CPU in the process's affinity mask, when each range holds at least
+_WORKER_STEPS estimated steps (paths times min(max_steps, x/(mu*dt))), and
+never where `os.fork` is missing or another thread runs.  The caller
+scans range 0 itself; each other range goes to a child made by `os.fork`,
+which sends back its tau, area, steps and censored columns through a
+pipe and leaves by `os._exit`.  The caller reaps every child before `run`
+returns or raises, and a child that fails raises an error naming its
+range.  Each process has its own memory, so counters and hooks installed
+in the caller see only range 0.  Threads gain little here: the per-round
+Python work holds the GIL.  A forked child starts scanning at once, where
+a spawned one would first import numpy and this package again.
+
 Censoring: a path that reaches max_time (default 50*x/mu) without
 crossing is returned with censored=True, excluded from estimators, and
 counted separately.  mu = 0 has no default horizon and requires an
@@ -71,6 +86,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import signal
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
@@ -88,6 +107,10 @@ from .closed_forms import ModelParams
 _CHUNK_PATHS = 64
 _ROUND_BUDGET = 1 << 15
 _BLOCK_MAX = 8192
+# A run is split over worker processes only while each gets at least this
+# many estimated steps (about 0.1 s of scanning); below it the fork and
+# the pipe cost more than a second core saves.
+_WORKER_STEPS = 2_000_000
 # glibc hands free memory at the top of the heap back to the OS once more
 # than its trim threshold (128 KB at start-up) is free there, so the
 # temporaries every round allocates and frees would be faulted back in
@@ -287,10 +310,106 @@ def simulate_path(config: SimConfig, stream_index: int) -> PassageSample:
     return _scan_paths(config, stream_index, 1)[0]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(config: SimConfig) -> int:
+    """Processes to scan the run in: one per usable CPU while each gets at
+    least _WORKER_STEPS steps of estimated work, and 1 where forking is
+    unavailable or unsafe (another thread may hold a lock the child needs).
+
+    A path is estimated at its mean passage x/mu over dt steps, capped at
+    the horizon; at mu = 0 it is the horizon.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    steps = config.max_steps
+    if config.params.mu > 0:
+        steps = min(steps, config.params.x / config.params.mu / config.dt)
+    return max(1, min(_cpus(), config.paths, int(config.paths * steps / _WORKER_STEPS)))
+
+
+# A worker's samples cross its pipe as four columns, one after another.
+_COLUMNS = (("tau", np.float64), ("area", np.float64), ("steps", np.int64), ("censored", np.bool_))
+_SAMPLE_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
+
+
+def _to_columns(samples: Sequence[PassageSample]) -> bytes:
+    return b"".join(np.array([getattr(s, name) for s in samples], dtype).tobytes() for name, dtype in _COLUMNS)
+
+
+def _from_columns(data: bytes, count: int) -> list[PassageSample]:
+    columns, at = [], 0
+    for _, dtype in _COLUMNS:
+        columns.append(np.frombuffer(data, dtype, count, at).tolist())
+        at += count * np.dtype(dtype).itemsize
+    return list(map(PassageSample, *columns))
+
+
+def _scan_split(config: SimConfig, workers: int) -> list[PassageSample]:
+    """The run's paths in `workers` contiguous ranges: range 0 scanned
+    here, every other one by a forked child that sends its samples back
+    through a pipe; one worker forks nothing.  Every child is reaped before
+    this returns or raises.
+    """
+    bounds = [config.paths * k // workers for k in range(workers + 1)]
+    children = []  # (pid, pipe, first, count) of every unreaped child
+    try:
+        for first, end in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # Leave only by os._exit: returning or raising would run the
+                # caller's code (a test runner, say) on in this process, and
+                # exiting normally would flush buffers inherited unwritten.
+                status = 1
+                try:
+                    os.close(read)
+                    data = _to_columns(_scan_paths(config, first, end - first))
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, open(read, "rb"), first, end - first))
+            os.close(write)
+        out = _scan_paths(config, 0, bounds[1])
+        while children:
+            pid, pipe, first, count = children[0]
+            with pipe:
+                data = pipe.read(count * _SAMPLE_BYTES)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code or len(data) != count * _SAMPLE_BYTES:
+                raise RuntimeError(
+                    f"the worker for paths {first}..{first + count - 1} failed "
+                    f"(exit code {code}, {len(data)} of {count * _SAMPLE_BYTES} bytes)"
+                )
+            out += _from_columns(data, count)
+        return out
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
 def run(config: SimConfig) -> list[PassageSample]:
-    """All paths of the run, indexed by stream; equal to per-index simulate_path."""
+    """All paths of the run, indexed by stream; equal to per-index simulate_path.
+
+    A large run is split into contiguous path ranges, one per CPU the
+    process may use, each scanned in its own process (see "Workers" in the
+    module docstring); the result is the same list, byte for byte.
+    """
     np.empty(_HEAP_PRIME_BYTES, dtype=np.uint8)  # freed at once; see _HEAP_PRIME_BYTES
-    return _scan_paths(config, 0, config.paths)
+    return _scan_split(config, _workers(config))
 
 
 def _uncensored(samples: Sequence[PassageSample]) -> tuple[np.ndarray, np.ndarray, int]:

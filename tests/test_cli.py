@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,6 +144,28 @@ class TestCorrelation:
         assert cli.main(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="splits runs by os.fork")
+    def test_split_run_prints_the_same_bytes(self):
+        # The header sits unflushed in stdout's buffer when the run forks; a
+        # child that exited normally would flush its copy and print it twice.
+        script = (
+            "import sys\n"
+            "from fparea import cli, mc\n"
+            "if sys.argv[1] == 'split':\n"
+            "    mc._WORKER_STEPS, mc._cpus = 1, lambda: 3\n"
+            "sys.exit(cli.main(['correlation', '--x', '2', '--mu-list', '1,1.5', '--simulate',\n"
+            "                   '--paths', '300', '--dt', '0.01', '--seed', '4']))\n"
+        )
+        outs = {}
+        for mode in ("serial", "split"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, mode], capture_output=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs[mode] = proc.stdout
+        assert outs["split"].count(b"gamma") == 1
+        assert outs["split"] == outs["serial"]
 
     def test_simulated_censoring_exit_code(self, capsys):
         # the configuration of TestSimulate.test_censoring_exit_code

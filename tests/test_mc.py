@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -421,6 +422,117 @@ class TestRounds:
         assert scans == 0 < walks
         walks, scans = kernel_calls(10.0, bridge=True)
         assert 0 < scans < walks
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="splits runs by os.fork")
+class TestWorkers:
+    @staticmethod
+    def _split(patch, cpus):
+        """Split every run over up to `cpus` processes; count the forks."""
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(None)
+            return fork()
+
+        patch.setattr(mc, "_WORKER_STEPS", 1)
+        patch.setattr(mc, "_cpus", lambda: cpus)
+        patch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.parametrize(
+        "config, cpus, workers",
+        [
+            (SMALL, 2, 2),
+            (SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=25, seed=4, bridge_correction=False), 2, 2),
+            # about a third of the paths censored at the 500-step horizon
+            (SimConfig(ModelParams(x=0.3, mu=0.0), dt=1e-3, paths=25, seed=12, max_time=0.5), 2, 2),
+            # ranges of 8, 8 and 9 paths
+            (SMALL, 3, 3),
+            # fewer paths than CPUs: one path a process
+            (SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=3, seed=4), 8, 3),
+            (SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=1, seed=4), 8, 1),
+        ],
+        ids=["bridge", "no-bridge", "censoring", "uneven", "few-paths", "one-path"],
+    )
+    def test_split_equals_serial(self, monkeypatch, config, cpus, workers):
+        want = mc._scan_paths(config, 0, config.paths)
+        with monkeypatch.context() as patch:
+            forks = self._split(patch, cpus)
+            assert mc._workers(config) == workers
+            assert run(config) == want
+        assert len(forks) == workers - 1
+        _no_children()
+
+    def test_failing_child_raises(self, monkeypatch):
+        scan = mc._scan_paths
+
+        def failing(config, first, count):
+            if first:
+                raise RuntimeError("a child fails")
+            return scan(config, first, count)
+
+        with monkeypatch.context() as patch:
+            self._split(patch, 2)
+            patch.setattr(mc, "_scan_paths", failing)
+            with pytest.raises(RuntimeError, match=r"paths 12\.\.24 failed \(exit code 1, 0 of 325 bytes\)"):
+                run(SMALL)
+        _no_children()
+
+    def test_short_read_raises(self, monkeypatch):
+        to_columns = mc._to_columns
+        with monkeypatch.context() as patch:
+            self._split(patch, 3)
+            patch.setattr(mc, "_to_columns", lambda samples: to_columns(samples)[:-1])
+            with pytest.raises(RuntimeError, match=r"paths 8\.\.15 failed \(exit code 0, 199 of 200 bytes\)"):
+                run(SMALL)
+        _no_children()
+
+    def test_failing_caller_reaps_its_children(self, monkeypatch):
+        # the caller's own range raises while the children still run
+        scan = mc._scan_paths
+
+        def interrupted(config, first, count):
+            if not first:
+                raise KeyboardInterrupt
+            return scan(config, first, count)
+
+        with monkeypatch.context() as patch:
+            self._split(patch, 2)
+            patch.setattr(mc, "_scan_paths", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run(SimConfig(ModelParams(x=10.0, mu=0.5), dt=1e-3, paths=20, seed=3))
+        _no_children()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # the inputs of test_slots_keep_most_draws and
+            # test_scan_only_rounds_with_near_rows, whose kernel counters
+            # see only the calling process
+            SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=2000, seed=7),
+            SimConfig(ModelParams(x=1.0, mu=0.5), dt=1e-3, paths=20, seed=3, bridge_correction=False),
+            SimConfig(ModelParams(x=10.0, mu=0.5), dt=1e-3, paths=20, seed=3),
+            # test_paths_reuse_heap_pages, whose fault count sees one process
+            SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=1000, seed=5),
+            # [C11]
+            SimConfig(ModelParams(x=1.0, mu=1.0), dt=1e-3, paths=1500, seed=31),
+        ],
+        ids=["slots", "scan-no-bridge", "scan-x10", "heap-pages", "C11"],
+    )
+    def test_small_runs_never_fork(self, monkeypatch, config):
+        def no_fork():
+            raise AssertionError("a small run forked")
+
+        monkeypatch.setattr(mc, "_cpus", lambda: 64)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert len(run(config)) == config.paths
 
 
 class TestBridgeBias:

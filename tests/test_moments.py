@@ -151,6 +151,32 @@ class TestStructureLaws:
         with pytest.raises(ValueError, match="exceeds the float range"):
             joint_moment(2, 3).evaluate(1e120, 1e120)
 
+    def test_float_range_bound_agrees_with_the_exact_route(self):
+        # Both points take the exact fallback at the higher orders; at the
+        # first, most of those values exceed the float range.  The log bound
+        # on the largest term may raise early, but only where the exact value
+        # overflows too, and with the same message.
+        raised = {(1e200, 1e200): 0, (1e-100, 1e-10): 0}
+        for x, mu in raised:
+            message = f"the value at x={x:g}, mu={mu:g} exceeds the float range"
+            for d in range(13):
+                for m in range(d + 1):
+                    poly = joint_moment(m, d - m)
+                    try:
+                        want = float(poly.evaluate(F(x), F(mu)))
+                    except OverflowError:
+                        want = None
+                    try:
+                        got = poly.evaluate(x, mu)
+                    except ValueError as exc:
+                        got = str(exc)
+                    if want is None:
+                        assert got == message, (m, d - m, x, mu)
+                        raised[x, mu] += 1
+                    else:
+                        assert got == pytest.approx(want, rel=1e-12), (m, d - m, x, mu)
+        assert raised == {(1e200, 1e200): 66, (1e-100, 1e-10): 0}
+
     def test_float_readout_rejects_nan(self):
         nan = float("nan")
         with pytest.raises(ValueError, match="^x must be a number, got nan$"):
