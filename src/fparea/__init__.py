@@ -18,11 +18,7 @@ from .closed_forms import (
     fpa_density_zero_drift,
     fpt_density,
     fpt_laplace,
-    mean_fpa,
-    mean_tau_a,
     rho_exact,
-    second_moment_fpa,
-    var_fpa,
     w_joint,
 )
 from .laurent import Poly, parse_polynomial
@@ -42,14 +38,7 @@ from .mc import (
     write_histogram_csv,
     write_samples_csv,
 )
-from .moments import (
-    assemble_rhs,
-    correlation_from_moments,
-    joint_moment,
-    solve_back_substitution,
-    verify_ode_residual,
-)
-from .quad import QuadratureError, QuadResult, integrate_density, integrate_exp_tail
+from .moments import correlation_from_moments, joint_moment
 
 __version__ = "0.1.0"
 
@@ -64,10 +53,7 @@ __all__ = [
     "ModelParams",
     "PassageSample",
     "Poly",
-    "QuadResult",
-    "QuadratureError",
     "SimConfig",
-    "assemble_rhs",
     "correlation_from_moments",
     "estimate_correlation",
     "estimate_density",
@@ -77,18 +63,10 @@ __all__ = [
     "fpa_density_zero_drift",
     "fpt_density",
     "fpt_laplace",
-    "integrate_density",
-    "integrate_exp_tail",
     "joint_moment",
-    "mean_fpa",
-    "mean_tau_a",
     "parse_polynomial",
     "rho_exact",
     "run",
-    "second_moment_fpa",
     "simulate_path",
-    "solve_back_substitution",
-    "var_fpa",
-    "verify_ode_residual",
     "w_joint",
 ]

@@ -2,11 +2,13 @@
 
 Everything here is a direct double-precision evaluation of an explicit
 formula: the inverse Gaussian law of tau, the zero-drift area density, the
-low-order area moments, the exact correlation in gamma = mu*x, the
-discounted-area transform, and the expected time average, through a
-small scaled exponential integral.  Only the standard library is used, so
-importing this layer loads no scipy.  This layer is the oracle both the
-symbolic moment engine and the simulator are tested against.
+exact correlation in gamma = mu*x, the discounted-area transform, and the
+expected time average, through a small scaled exponential integral.  Only
+the standard library is used.  This layer is the oracle both the
+symbolic moment engine and the simulator are tested against.  The
+low-order area moments E[A], E[A^2], Var[A] and E[tau*A] are readouts of
+the moment engine (`moments`); their closed forms live in the tests as
+oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -79,42 +81,10 @@ def fpa_density_zero_drift(x: float, a: float) -> float:
 
 
 def _area_bracket(x: float, r: float) -> float:
-    # x^2/(2r) + x/(2r^2); shared between mean_fpa and w_joint so that
-    # w_joint at lambda1 = 0 equals mean_fpa bitwise, not merely closely:
-    # IEEE round-to-nearest gives sqrt(mu*mu) == mu exactly.
+    # x^2/(2r) + x/(2r^2), which is E[A] at r = mu: the tests type the same
+    # expression for E[A] and find w_joint at lambda1 = 0 equal to it
+    # bitwise, since IEEE round-to-nearest gives sqrt(mu*mu) == mu exactly.
     return x * x / (2.0 * r) + x / (2.0 * (r * r))
-
-
-def mean_fpa(params: ModelParams) -> float:
-    """E[A] = x^2/(2 mu) + x/(2 mu^2)."""
-    _require_drift(params)
-    return _area_bracket(params.x, params.mu)
-
-
-def second_moment_fpa(params: ModelParams) -> float:
-    """E[A^2] = x^4/(4 mu^2) + 5x^3/(6 mu^3) + 5x^2/(4 mu^4) + 5x/(4 mu^5)."""
-    _require_drift(params)
-    x, mu = params.x, params.mu
-    return (
-        x**4 / (4.0 * mu**2)
-        + 5.0 * x**3 / (6.0 * mu**3)
-        + 5.0 * x**2 / (4.0 * mu**4)
-        + 5.0 * x / (4.0 * mu**5)
-    )
-
-
-def var_fpa(params: ModelParams) -> float:
-    """Var[A] = x^3/(3 mu^3) + x^2/mu^4 + 5x/(4 mu^5)."""
-    _require_drift(params)
-    x, mu = params.x, params.mu
-    return x**3 / (3.0 * mu**3) + x**2 / mu**4 + 5.0 * x / (4.0 * mu**5)
-
-
-def mean_tau_a(params: ModelParams) -> float:
-    """E[tau * A] = x^3/(2 mu^2) + x^2/mu^3 + x/mu^4."""
-    _require_drift(params)
-    x, mu = params.x, params.mu
-    return x**3 / (2.0 * mu**2) + x**2 / mu**3 + x / mu**4
 
 
 def rho_exact(gamma: float) -> float:
@@ -142,8 +112,8 @@ def w_joint(params: ModelParams, lambda1: float) -> float:
     """Discounted area E[A * exp(-lambda1 * tau)].
 
     exp(mu*x - x*r) * (x^2/(2r) + x/(2r^2)) with r = sqrt(mu^2 + 2*lambda1).
-    At lambda1 = 0 this is exactly mean_fpa: r collapses to mu and the
-    exponent to 0.0, both without rounding.
+    At lambda1 = 0 this is exactly E[A] = x^2/(2 mu) + x/(2 mu^2): r
+    collapses to mu and the exponent to 0.0, both without rounding.
     """
     if lambda1 < 0:
         raise ValueError(f"lambda1 must be nonnegative, got {lambda1}")
@@ -189,7 +159,7 @@ def expected_time_average(params: ModelParams) -> float:
     """E[A/tau] = (x/2) * (1 + e^gamma * E1(gamma)) with gamma = mu*x.
 
     e^gamma * E1(gamma) is the integral of exp(-s*x)/(s+mu) over s > 0,
-    which `quad.integrate_exp_tail` evaluates by quadrature as a check.
+    which the tests evaluate by quadrature as a check (tests/quad.py).
     Always at least x/2, decreasing in mu; diverges as mu -> 0+.  Raises
     ValueError when mu*x underflows to zero.
     """

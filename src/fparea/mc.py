@@ -68,11 +68,13 @@ per CPU in the process's affinity mask, when each range holds at least
 _WORKER_STEPS estimated steps (paths times min(max_steps, x/(mu*dt))), and
 never where `os.fork` is missing or another thread runs.  The caller
 scans range 0 itself; each other range goes to a child made by `os.fork`,
-which sends back its tau, area, steps and censored columns through a
-pipe and leaves by `os._exit`.  The caller reaps every child before `run`
-returns or raises, and a child that fails raises an error naming its
-range.  Each process has its own memory, so counters and hooks installed
-in the caller see only range 0.  Threads gain little here: the per-round
+which sends back through a pipe either its pickled samples or, when its
+scan raises, the pickled traceback, and leaves by `os._exit`.  The caller
+reaps every child before `run` returns or raises.  A child's traceback,
+or a pickle cut short by a child that died while writing, makes the
+caller raise RuntimeError naming the child's path range, with that text.
+Each process has its own memory, so counters and hooks installed in the
+caller see only range 0.  Threads gain little here: the per-round
 Python work holds the GIL.  A forked child starts scanning at once, where
 a spawned one would first import numpy and this package again.
 
@@ -87,8 +89,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import pickle
 import signal
 import threading
+import traceback
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
@@ -334,28 +338,11 @@ def _workers(config: SimConfig) -> int:
     return max(1, min(_cpus(), config.paths, int(config.paths * steps / _WORKER_STEPS)))
 
 
-# A worker's samples cross its pipe as four columns, one after another.
-_COLUMNS = (("tau", np.float64), ("area", np.float64), ("steps", np.int64), ("censored", np.bool_))
-_SAMPLE_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
-
-
-def _to_columns(samples: Sequence[PassageSample]) -> bytes:
-    return b"".join(np.array([getattr(s, name) for s in samples], dtype).tobytes() for name, dtype in _COLUMNS)
-
-
-def _from_columns(data: bytes, count: int) -> list[PassageSample]:
-    columns, at = [], 0
-    for _, dtype in _COLUMNS:
-        columns.append(np.frombuffer(data, dtype, count, at).tolist())
-        at += count * np.dtype(dtype).itemsize
-    return list(map(PassageSample, *columns))
-
-
 def _scan_split(config: SimConfig, workers: int) -> list[PassageSample]:
     """The run's paths in `workers` contiguous ranges: range 0 scanned
-    here, every other one by a forked child that sends its samples back
-    through a pipe; one worker forks nothing.  Every child is reaped before
-    this returns or raises.
+    here, every other one by a forked child that sends its pickled samples,
+    or the traceback of its failure, back through a pipe; one worker forks
+    nothing.  Every child is reaped before this returns or raises.
     """
     bounds = [config.paths * k // workers for k in range(workers + 1)]
     children = []  # (pid, pipe, first, count) of every unreaped child
@@ -370,7 +357,10 @@ def _scan_split(config: SimConfig, workers: int) -> list[PassageSample]:
                 status = 1
                 try:
                     os.close(read)
-                    data = _to_columns(_scan_paths(config, first, end - first))
+                    try:
+                        data = pickle.dumps(_scan_paths(config, first, end - first))
+                    except Exception:  # the caller raises it with this text
+                        data = pickle.dumps(traceback.format_exc())
                     with open(write, "wb") as pipe:
                         pipe.write(data)
                     status = 0
@@ -382,15 +372,15 @@ def _scan_split(config: SimConfig, workers: int) -> list[PassageSample]:
         while children:
             pid, pipe, first, count = children[0]
             with pipe:
-                data = pipe.read(count * _SAMPLE_BYTES)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                try:
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError) as exc:  # it died before or while writing
+                    result = f"its result could not be read: {exc!r}"
+            os.waitpid(pid, 0)
             children.pop(0)
-            if code or len(data) != count * _SAMPLE_BYTES:
-                raise RuntimeError(
-                    f"the worker for paths {first}..{first + count - 1} failed "
-                    f"(exit code {code}, {len(data)} of {count * _SAMPLE_BYTES} bytes)"
-                )
-            out += _from_columns(data, count)
+            if isinstance(result, str):
+                raise RuntimeError(f"the worker for paths {first}..{first + count - 1} failed:\n{result}")
+            out += result
         return out
     finally:
         for pid, pipe, _, _ in children:
@@ -455,20 +445,14 @@ def estimate_time_average(samples: Sequence[PassageSample]) -> EstimatorSummary:
     return _mean(samples, lambda taus, areas: areas / taus)
 
 
-def estimate_density(
-    samples: Sequence[PassageSample],
-    bins: int,
-    value_range: Optional[tuple[float, float]] = None,
-) -> HistogramDensity:
-    """Normalized area histogram; default range [0, 99.5th percentile]."""
+def estimate_density(samples: Sequence[PassageSample], bins: int) -> HistogramDensity:
+    """Normalized area histogram over [0, 99.5th percentile]."""
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
     _, areas, _ = _uncensored(samples)
     if len(areas) < 2:
         raise InsufficientSamplesError(f"need at least 2 uncensored samples, have {len(areas)}")
-    if value_range is None:
-        value_range = (0.0, float(np.percentile(areas, 99.5)))
-    mass, edges = np.histogram(areas, bins=bins, range=value_range, density=True)
+    mass, edges = np.histogram(areas, bins=bins, range=(0.0, float(np.percentile(areas, 99.5))), density=True)
     return HistogramDensity(edges, mass)
 
 

@@ -1,12 +1,19 @@
 """Independent oracles used by the test suite.
 
-The scaled exponential integral shares no code path with the shipped
-quadrature: it is evaluated by classical means (power series for z <= 1,
-modified Lentz continued fraction beyond).  The shipped closed form of the
-expected time average follows the same recipe, so a comparison with this
-oracle checks the recipe was typed twice alike, not that it is right;
-scipy.special.exp1 and the quadrature are the independent references for
-that (tests/test_closed_forms.py).
+The scaled exponential integral shares no code path with the quadrature
+of tests/quad.py: it is evaluated by classical means (power series for
+z <= 1, modified Lentz continued fraction beyond).  The shipped closed
+form of the expected time average follows the same recipe, so a
+comparison with this oracle checks the recipe was typed twice alike, not
+that it is right; scipy.special.exp1 and the quadrature are the
+independent references for that (tests/test_closed_forms.py).
+
+`mean_fpa`, `second_moment_fpa`, `var_fpa` and `mean_tau_a` are the
+low-order area moments in closed form: the exact readouts V_{0,1},
+V_{0,2}, V_{0,2} - V_{0,1}^2 and V_{1,1} of the moment engine, typed out
+as double-precision formulas.  `mean_fpa` spells the expression of
+`closed_forms._area_bracket`, so `w_joint` at lambda1 = 0 equals it
+bitwise.
 
 `solve_explicit_inverse` solves the moment recursion by a route other than
 the shipped integer recursion: the closed-form inverse of its coefficient
@@ -63,6 +70,41 @@ def exp1_scaled(z: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             return h
     raise RuntimeError(f"continued fraction failed to settle at z={z}")
+
+
+def _drifted(params):
+    if params.mu <= 0:
+        raise ValueError(f"mu must be positive here, got {params.mu}")
+    return params.x, params.mu
+
+
+def mean_fpa(params) -> float:
+    """E[A] = x^2/(2 mu) + x/(2 mu^2)."""
+    x, mu = _drifted(params)
+    return x * x / (2.0 * mu) + x / (2.0 * (mu * mu))
+
+
+def second_moment_fpa(params) -> float:
+    """E[A^2] = x^4/(4 mu^2) + 5x^3/(6 mu^3) + 5x^2/(4 mu^4) + 5x/(4 mu^5)."""
+    x, mu = _drifted(params)
+    return (
+        x**4 / (4.0 * mu**2)
+        + 5.0 * x**3 / (6.0 * mu**3)
+        + 5.0 * x**2 / (4.0 * mu**4)
+        + 5.0 * x / (4.0 * mu**5)
+    )
+
+
+def var_fpa(params) -> float:
+    """Var[A] = x^3/(3 mu^3) + x^2/mu^4 + 5x/(4 mu^5)."""
+    x, mu = _drifted(params)
+    return x**3 / (3.0 * mu**3) + x**2 / mu**4 + 5.0 * x / (4.0 * mu**5)
+
+
+def mean_tau_a(params) -> float:
+    """E[tau * A] = x^3/(2 mu^2) + x^2/mu^3 + x/mu^4."""
+    x, mu = _drifted(params)
+    return x**3 / (2.0 * mu**2) + x**2 / mu**3 + x / mu**4
 
 
 def solve_explicit_inverse(idx, table):

@@ -1,13 +1,13 @@
-"""Deterministic quadrature, kept as a cross-check of the closed forms.
+"""Deterministic quadrature, a test reference for the closed forms.
 
 Two integrals are handled here: the drift tail integral
 int_0^inf exp(-s*x)/(s+mu) ds, which `closed_forms.expected_time_average`
 evaluates in closed form as e^gamma E1(gamma), and normalization/moment
 checks of densities on (0, inf), one of which carries an algebraic
 a^(-4/3) tail.  Adaptive Gauss-Kronrod does the work; this module owns the
-truncation and substitution logic and reports honest error bounds.  scipy
-is imported on the first call, not with the package, so no CLI command
-pays for it.
+truncation and substitution logic and reports honest error bounds.  It
+lives with the tests, beside `oracles`, because nothing in the package
+calls it; it is why scipy is a test dependency.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from scipy.integrate import quad as _quad
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ def integrate_exp_tail(x: float, mu: float, tol: float = 1e-10) -> QuadResult:
     while math.exp(-S * x) / (x * (S + mu)) >= 0.5 * tol:
         S *= 2.0
     tail_bound = math.exp(-S * x) / (x * (S + mu))
-    from scipy.integrate import quad as _quad
 
     def integrand(s: float) -> float:
         return math.exp(-s * x) / (s + mu)
@@ -76,8 +77,6 @@ def integrate_density(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    from scipy.integrate import quad as _quad
-
     if tail_exponent_hint is not None:
         if not 1.0 < tail_exponent_hint:
             raise ValueError(f"tail exponent hint must exceed 1, got {tail_exponent_hint}")

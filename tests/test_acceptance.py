@@ -14,7 +14,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import exp1_scaled, solve_explicit_inverse
+from oracles import exp1_scaled, mean_fpa, solve_explicit_inverse
+from quad import integrate_density
 
 from fparea import kernels, mc
 from fparea.closed_forms import (
@@ -24,14 +25,12 @@ from fparea.closed_forms import (
     expected_time_average,
     fpa_density_zero_drift,
     fpt_density,
-    mean_fpa,
     rho_exact,
     w_joint,
 )
 from fparea.laurent import Poly, parse_polynomial
 from fparea.mc import SimConfig
 from fparea.moments import correlation_from_moments, joint_moment, verify_ode_residual
-from fparea.quad import integrate_density
 
 SEED = 20260822
 

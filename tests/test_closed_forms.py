@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from scipy.special import exp1
+
+from oracles import mean_fpa, mean_tau_a, second_moment_fpa, var_fpa
+from quad import integrate_exp_tail
 
 from fparea.closed_forms import (
     RHO_LIMIT_LARGE_DRIFT,
@@ -16,14 +20,10 @@ from fparea.closed_forms import (
     fpa_density_zero_drift,
     fpt_density,
     fpt_laplace,
-    mean_fpa,
-    mean_tau_a,
     rho_exact,
-    second_moment_fpa,
-    var_fpa,
     w_joint,
 )
-from fparea.quad import integrate_exp_tail
+from fparea.moments import joint_moment
 
 
 class TestModelParams:
@@ -122,6 +122,18 @@ class TestAreaMoments:
             direct = var_fpa(p)
             assembled = second_moment_fpa(p) - mean_fpa(p) ** 2
             np.testing.assert_allclose(assembled, direct, rtol=1e-10)
+
+    def test_oracles_are_engine_readouts(self):
+        # V_{0,1}, V_{0,2}, V_{0,2} - V_{0,1}^2 and V_{1,1}, read out exactly
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x, mu = F(float(rng.uniform(0.2, 5.0))), F(float(rng.uniform(0.2, 5.0)))
+            p = ModelParams(x=float(x), mu=float(mu))
+            v01, v02, v11 = (joint_moment(m, n).evaluate(x, mu) for m, n in ((0, 1), (0, 2), (1, 1)))
+            np.testing.assert_allclose(mean_fpa(p), float(v01), rtol=1e-14)
+            np.testing.assert_allclose(second_moment_fpa(p), float(v02), rtol=1e-14)
+            np.testing.assert_allclose(var_fpa(p), float(v02 - v01 * v01), rtol=1e-14)
+            np.testing.assert_allclose(mean_tau_a(p), float(v11), rtol=1e-14)
 
     def test_require_positive_drift(self):
         p = ModelParams(x=1.0, mu=0.0)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import solve_explicit_inverse
+from quad import integrate_density
 
 from fparea.closed_forms import ModelParams, fpt_density, rho_exact
 from fparea.laurent import Poly, parse_polynomial
@@ -23,7 +24,6 @@ from fparea.moments import (
     solve_back_substitution,
     verify_ode_residual,
 )
-from fparea.quad import integrate_density
 
 # Closed forms established independently of the recursion (direct ODE
 # solutions for the low indices, checked by hand).

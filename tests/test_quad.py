@@ -3,7 +3,7 @@
 The tail integral behind the expected time average equals e^z E1(z) at
 z = mu*x.  The oracle below evaluates that scaled exponential integral by
 classical means (power series for z <= 1, modified Lentz continued
-fraction beyond), sharing no code path with the shipped quadrature.
+fraction beyond), sharing no code path with the quadrature of quad.py.
 """
 
 import math
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from oracles import exp1_scaled
+from quad import QuadratureError, QuadResult, integrate_density, integrate_exp_tail
 
 from fparea.closed_forms import ModelParams, fpa_density_zero_drift, fpt_density
-from fparea.quad import QuadratureError, QuadResult, integrate_density, integrate_exp_tail
 
 
 class TestOracleSelfConsistency:
