@@ -55,7 +55,7 @@ def _require_drift(params: ModelParams) -> None:
 
 def fpt_laplace(params: ModelParams, lam: float) -> float:
     """E[exp(-lam * tau)] = exp(-x*(sqrt(mu^2 + 2*lam) - mu)); 1 at lam = 0."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     root = math.sqrt(params.mu * params.mu + 2.0 * lam)
     return math.exp(-params.x * (root - params.mu))
@@ -63,8 +63,8 @@ def fpt_laplace(params: ModelParams, lam: float) -> float:
 
 def fpt_density(params: ModelParams, t: float) -> float:
     """Inverse Gaussian density x/sqrt(2 pi t^3) * exp(-(x - mu t)^2 / 2t)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     dev = params.x - params.mu * t
     return params.x / math.sqrt(2.0 * math.pi * t**3) * math.exp(-dev * dev / (2.0 * t))
 
@@ -75,7 +75,7 @@ def fpa_density_zero_drift(x: float, a: float) -> float:
     f(a) = 2^(1/3)/(3^(2/3) Gamma(1/3)) * x * a^(-4/3) * exp(-2 x^3 / 9a).
     The a^(-4/3) tail makes every moment infinite.
     """
-    if x <= 0 or a <= 0:
+    if not (x > 0 and a > 0):
         raise ValueError(f"x and a must be positive, got x={x}, a={a}")
     return _FPA0_NORM * x * a ** (-4.0 / 3.0) * math.exp(-2.0 * x**3 / (9.0 * a))
 
@@ -97,7 +97,7 @@ def rho_exact(gamma: float) -> float:
     peaks at RHO_MAX for gamma = 3/2 and only drops below the zero-drift
     limit past gamma = 12.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     g = gamma
     den = 4.0 * g * g + 12.0 * g + 15.0
@@ -115,7 +115,7 @@ def w_joint(params: ModelParams, lambda1: float) -> float:
     At lambda1 = 0 this is exactly E[A] = x^2/(2 mu) + x/(2 mu^2): r
     collapses to mu and the exponent to 0.0, both without rounding.
     """
-    if lambda1 < 0:
+    if not lambda1 >= 0:
         raise ValueError(f"lambda1 must be nonnegative, got {lambda1}")
     _require_drift(params)
     x, mu = params.x, params.mu

@@ -36,9 +36,9 @@ where the bridge can fire:
    live argument, whose uniform the numpy twin would read.
 
 Two interchangeable backends exist: the scalar reference loops compiled
-with numba, and vectorized numpy twins used when numba is unavailable or
-when FPAREA_NO_NUMBA is set.  They are bitwise-identical by construction,
-which the test suite asserts draw-for-draw:
+with numba, used wherever numba imports, and vectorized numpy twins used
+otherwise.  They are bitwise-identical by construction, which the test
+suite asserts draw-for-draw:
 
 - the numpy walk writes each row's carry into column 0 before its
   row-wise cumsum, so the cumsum performs exactly the scalar left-fold
@@ -66,7 +66,6 @@ which paths share a block.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -193,20 +192,14 @@ def scan_rows_numpy(dt, x, entry, stop, u):
     return at
 
 
+# mc looks walk_rows and scan_rows up at call time, so tests can swap
+# backends per-case.
 if HAS_NUMBA:
     _compile = njit(cache=True, fastmath=False)
-    walk_rows_compiled = _compile(walk_rows_reference)
-    scan_rows_compiled = _compile(scan_rows_reference)
+    walk_rows = walk_rows_compiled = _compile(walk_rows_reference)
+    scan_rows = scan_rows_compiled = _compile(scan_rows_reference)
 else:  # pragma: no cover
     walk_rows_compiled = scan_rows_compiled = None
-
-_force_numpy = bool(os.environ.get("FPAREA_NO_NUMBA"))
-USING_NUMBA = HAS_NUMBA and not _force_numpy
-
-# mc looks these up at call time, so tests can swap backends per-case.
-if USING_NUMBA:
-    walk_rows, scan_rows = walk_rows_compiled, scan_rows_compiled
-else:
     walk_rows, scan_rows = walk_rows_numpy, scan_rows_numpy
 
 

@@ -81,7 +81,8 @@ a spawned one would first import numpy and this package again.
 Censoring: a path that reaches max_time (default 50*x/mu) without
 crossing is returned with censored=True, excluded from estimators, and
 counted separately.  mu = 0 has no default horizon and requires an
-explicit max_time.
+explicit max_time.  A horizon, default or explicit, must be positive,
+finite and below 2^63 steps.
 """
 
 from __future__ import annotations
@@ -154,12 +155,12 @@ class SimConfig:
             if self.params.mu <= 0:
                 raise ValueError("mu = 0 has no default horizon; pass max_time explicitly")
             object.__setattr__(self, "max_time", 50.0 * self.params.x / self.params.mu)
-        elif not self.max_time > 0:
-            raise ValueError(f"max_time must be positive, got {self.max_time}")
-        # the step counters are int64
-        if not (math.isfinite(self.max_time) and self.max_time / self.dt < 2**63):
+        # the default 50*x/mu is 0 at mu = inf or on underflow; the step
+        # counters are int64
+        if not (0 < self.max_time < math.inf and self.max_time / self.dt < 2**63):
             raise ValueError(
-                f"the horizon max_time/dt = {self.max_time:g}/{self.dt:g} must be finite and below 2^63 steps"
+                f"the horizon max_time/dt = {self.max_time:g}/{self.dt:g} must be finite, "
+                "positive and below 2^63 steps"
             )
 
     @property

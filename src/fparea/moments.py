@@ -21,8 +21,9 @@ D = m + 2n.  Matching the coefficient of gamma^j in
 so going down from q_{D+1} = 0, q_k = q_{k+1} - rho_{k-1}, and q_0 = 0.
 No step divides, so from the base V_{0,0} = 1 (q_{0,0} = [1], the one entry
 that does not vanish at zero) every q_k is an integer by induction on m+n.
-The filled set is a staircase of rows by m, each contiguous in n; a `Poly`
-holds nums_k = q_k (D!/k!) 2^k over D! 2^D, built once an index is requested.
+The filled set is a staircase of rows by m, each contiguous in n.  The
+`Poly` of an index, made once it is requested, holds nums_k =
+q_k (D!/k!) 2^k built over D! 2^D, stored in lowest terms.
 """
 
 from __future__ import annotations

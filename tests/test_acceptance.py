@@ -8,6 +8,7 @@ stochastic check pins its seed, so reruns are bit-reproducible.
 import math
 import os
 import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -270,12 +271,22 @@ def test_criterion_11_determinism(tmp_path):
         "fparea", "simulate", "--x", "1", "--mu", "1",
         "--paths", "1500", "--dt", "1e-3", "--seed", "31",
     ]
+    # the numpy run imports a numba that fails, as where none is installed
+    blocker = tmp_path / "no_numba"
+    blocker.mkdir()
+    (blocker / "numba.py").write_text('raise ImportError("numba blocked")\n')
+    path = os.pathsep.join(filter(None, [str(blocker), os.environ.get("PYTHONPATH")]))
     runs = {
         "a": {},
         "b": {},
-        "numpy": {"FPAREA_NO_NUMBA": "1"},
+        "numpy": {"PYTHONPATH": path},
         "serial": {"NUMBA_NUM_THREADS": "1"},
     }
+    probe = subprocess.run(
+        [sys.executable, "-c", "from fparea import kernels; print(kernels.backend_name())"],
+        env={**os.environ, **runs["numpy"]}, capture_output=True, text=True, timeout=600,
+    )
+    assert probe.stdout == "numpy\n", probe.stderr
     blobs = {}
     for name, extra in runs.items():
         out = tmp_path / f"{name}.csv"

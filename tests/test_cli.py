@@ -396,6 +396,22 @@ class TestParserShell:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--x", "1", "--mu", "inf"],
+            ["density", "--x", "1", "--mu", "inf"],
+            ["time-average", "--x", "1", "--mu", "inf", "--simulate"],
+            ["correlation", "--x", "1", "--mu-list", "inf", "--simulate"],
+        ],
+        ids=["simulate", "density", "time-average-simulate", "correlation-simulate"],
+    )
+    def test_zero_horizon_is_an_argument_error(self, capsys, argv):
+        # the default horizon 50*x/mu is 0 at mu = inf
+        code, out, err = run_cli(capsys, *argv, "--paths", "10")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("bad", [["--x", "-1", "--mu", "1"], ["--x", "1", "--mu", "0"]])
     def test_moment_checks_flags_before_computing(self, capsys, monkeypatch, bad):
         def no_fill(m, n):

@@ -44,10 +44,34 @@ class TestModelParams:
             p.x = 2.0
 
 
+P11 = ModelParams(x=1.0, mu=1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (fpt_laplace, (P11, math.nan)),
+        (fpt_density, (P11, math.nan)),
+        (fpt_density, (P11, math.inf)),
+        (fpa_density_zero_drift, (math.nan, 1.0)),
+        (fpa_density_zero_drift, (1.0, math.nan)),
+        (w_joint, (P11, math.nan)),
+        (rho_exact, (math.nan,)),
+    ],
+    ids=["laplace-nan", "density-nan", "density-inf", "fpa0-x-nan", "fpa0-a-nan", "w-nan", "rho-nan"],
+)
+def test_rejects_nan_argument(fn, args):
+    # NaN fails every comparison, so each guard is written to fail on it;
+    # fpt_density at t = inf would also come out NaN
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 class TestPassageTimeLaw:
     def test_laplace_point_values(self):
         p = ModelParams(x=1.0, mu=1.0)
         assert fpt_laplace(p, 0.0) == 1.0
+        assert fpt_laplace(p, math.inf) == 0.0
         np.testing.assert_allclose(fpt_laplace(p, 1.5), math.exp(-1.0), rtol=1e-15)
 
     def test_laplace_slope_at_zero_is_mean(self):
@@ -187,6 +211,7 @@ class TestDiscountedArea:
     def test_point_value(self):
         got = w_joint(ModelParams(x=1.0, mu=1.0), 1.5)
         assert got == 0.375 * math.exp(-1.0)
+        assert w_joint(ModelParams(x=1.0, mu=1.0), math.inf) == 0.0
 
     def test_decreasing_in_discount(self):
         p = ModelParams(x=2.0, mu=0.8)

@@ -70,6 +70,12 @@ class TestConfig:
             with pytest.raises(ValueError, match="must be finite"):
                 SimConfig(ModelParams(x=x, mu=mu), dt=1e-3, paths=1, seed=0)
 
+    def test_default_horizon_must_be_positive(self):
+        # 50*x/mu is 0.0 at mu = inf, and underflows to 0.0 at 5e-324/1e10
+        for x, mu in ((1.0, math.inf), (5e-324, 1e10)):
+            with pytest.raises(ValueError, match="positive"):
+                SimConfig(ModelParams(x=x, mu=mu), dt=1e-3, paths=1, seed=0)
+
     def test_zero_drift_needs_explicit_horizon(self):
         with pytest.raises(ValueError):
             SimConfig(ModelParams(x=1.0, mu=0.0), dt=1e-3, paths=1, seed=0)
