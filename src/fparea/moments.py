@@ -1,4 +1,4 @@
-"""Joint moments of the first-passage time and area via ODE recursion.
+"""Joint moments of the first-passage time and area: an ODE column, Girsanov rows.
 
 For X(t) = x - mu*t + B_t started at x > 0 and killed at its first passage
 below zero, write tau for the passage time and A for the swept area.  The
@@ -11,9 +11,11 @@ term.  The homogeneous part c1 + c2*exp(2*mu*x) is dropped; the polynomial
 solution is the one that stays bounded as mu grows and vanishes at zero.
 
 Brownian scaling (tau ~ mu^-2 and A ~ mu^-3 at fixed gamma = mu*x) gives
-V_{m,n}(x, mu) = mu^-(2m+3n) * P_{m,n}(gamma), and the recursion runs at
-mu = 1.  Write P_{m,n}(gamma) = sum_k q_k gamma^k / (k! 2^(D-k)) with
-D = m + 2n.  Matching the coefficient of gamma^j in
+V_{m,n}(x, mu) = mu^-W * P_{m,n}(gamma) with weight W = 2m + 3n, and every
+`Poly` here holds P_{m,n} as integer numerators nums_k over one den.
+
+Column m = 0, from the ODE.  Write P_{m,n}(gamma) = sum_k q_k gamma^k /
+(k! 2^(D-k)) with D = m + 2n.  Matching the coefficient of gamma^j in
 (1/2) P'' - P' = -m P_{m-1,n} - n gamma P_{m,n-1} gives
 
     q_{j+2} - q_{j+1} = rho_j = -m q_{m-1,n}[j] - n j q_{m,n-1}[j-1],
@@ -21,9 +23,32 @@ D = m + 2n.  Matching the coefficient of gamma^j in
 so going down from q_{D+1} = 0, q_k = q_{k+1} - rho_{k-1}, and q_0 = 0.
 No step divides, so from the base V_{0,0} = 1 (q_{0,0} = [1], the one entry
 that does not vanish at zero) every q_k is an integer by induction on m+n.
-The filled set is a staircase of rows by m, each contiguous in n.  The
-`Poly` of an index, made once it is requested, holds nums_k =
-q_k (D!/k!) 2^k built over D! 2^D, stored in lowest terms.
+A column entry's `Poly` holds nums_k = q_k (D!/k!) 2^k over D! 2^D in
+lowest terms, and `assemble_rhs` reads any entry's list back from its
+`Poly` as q_k = nums_k k! 2^(D-k) / den, which divides exactly.
+
+Rows m >= 1, from the Girsanov factor.  On the sigma-field at tau, where
+X_tau = 0, the drifted law has density exp(mu x - mu^2 tau/2) against the
+driftless one, so e^(-mu x) V_{m,n} = E_0[tau^m A^n e^(-s tau)] with
+s = mu^2/2.  Taking -d/ds = -(1/mu) d/dmu of both sides gives
+V_{m+1,n} = (x V_{m,n} - dV_{m,n}/dmu) / mu, that is
+
+    P_{m+1,n}(gamma) = (gamma + W) P_{m,n}(gamma) - gamma P'_{m,n}(gamma).
+
+On the numerators over the same den this reads
+nums'_k = (W - k) nums_k + nums_{k-1} for k = 0..D+1 (entries out of range
+are 0), with weight W + 2; lowest terms can only shrink den.  No row entry
+is solved from the ODE, so `verify_ode_residual` is an independent check
+of every entry.
+
+No coefficient is negative.  Down the column rho_j <= 0 by induction, so
+q_k >= q_{k+1} >= 0; a row step multiplies by W - k >= W - D = m + n >= 0
+and adds a nonnegative neighbour.  `Poly.evaluate` relies on this for its
+early float-range error.
+
+`_polys` is the one table.  A request for an unbuilt index solves the
+column up to n from its last built entry, then steps along the row from
+its last built entry up to m; nothing recurses.
 """
 
 from __future__ import annotations
@@ -35,9 +60,8 @@ from .laurent import Poly
 
 MomentIndex = tuple[int, int]
 
-# the staircase of integer lists, q_{m,n} = _rows[m][n], and the Polys built from them
-_rows: list[list[list[int]]] = [[[1]]]
-_polys: dict[MomentIndex, Poly] = {}
+# every built moment, P_{m,n} = _polys[m, n]; rows are contiguous from m = 0
+_polys: dict[MomentIndex, Poly] = {(0, 0): Poly([1])}
 
 
 def _validate_index(idx: MomentIndex) -> MomentIndex:
@@ -46,15 +70,26 @@ def _validate_index(idx: MomentIndex) -> MomentIndex:
     return (int(idx[0]), int(idx[1]))
 
 
+def _integers(m: int, n: int) -> list[int]:
+    """The integer list q_{m,n}: q_k = nums_k k! 2^(D-k) / den, D = m+2n."""
+    poly = joint_moment(m, n)
+    D = m + 2 * n
+    q, f = [], 1  # f = k!
+    for k, c in enumerate(poly.nums):
+        q.append((c * f << (D - k)) // poly.den)
+        f *= k + 1
+    return q
+
+
 def assemble_rhs(idx: MomentIndex) -> list[int]:
-    """rho_j = -m q_{m-1,n}[j] - n j q_{m,n-1}[j-1], j < m+2n, from filled lists."""
+    """rho_j = -m q_{m-1,n}[j] - n j q_{m,n-1}[j-1], j < m+2n, from the neighbours' Polys."""
     m, n = idx
     rho = [0] * (m + 2 * n)
     if m:
-        for j, q in enumerate(_rows[m - 1][n]):
+        for j, q in enumerate(_integers(m - 1, n)):
             rho[j] -= m * q
     if n:
-        for j, q in enumerate(_rows[m][n - 1], start=1):
+        for j, q in enumerate(_integers(m, n - 1), start=1):
             rho[j] -= n * j * q
     return rho
 
@@ -67,27 +102,41 @@ def solve_back_substitution(rho: list[int]) -> list[int]:
     return q[:-1]
 
 
-def _fill(m: int, n: int) -> list[int]:
-    """The integer list q_{m,n}, after extending rows 0..m through column n."""
-    _rows.extend([] for _ in range(len(_rows), m + 1))
-    for i, row in enumerate(_rows[: m + 1]):
-        for j in range(len(row), n + 1):
-            row.append(solve_back_substitution(assemble_rhs((i, j))))
-    return _rows[m][n]
+def _column_entry(n: int) -> Poly:
+    """P_{0,n} solved from the ODE, over D! 2^D with D = 2n."""
+    nums = solve_back_substitution(assemble_rhs((0, n)))
+    D, f = 2 * n, 1  # f = D!/k!
+    for k in range(D, -1, -1):
+        nums[k] = nums[k] * f << k
+        f *= k or 1
+    return Poly(nums, 3 * n, f << D)
+
+
+def _row_step(poly: Poly) -> Poly:
+    """P_{m+1,n} = (gamma + W) P_{m,n} - gamma P'_{m,n}, W = poly.weight."""
+    w, nums = poly.weight, poly.nums
+    step = [(w - k) * c + b for k, (c, b) in enumerate(zip(nums + (0,), (0,) + nums))]
+    return Poly(step, w + 2, poly.den)
 
 
 def joint_moment(m: int, n: int) -> Poly:
     """E[tau^m A^n] = mu^-(2m+3n) * P_{m,n}(mu*x), an exact Poly built once per
-    index after the integer lists are filled over the rectangle up to (m, n)."""
-    m, n = _validate_index((m, n))
-    if (m, n) not in _polys:
-        D = m + 2 * n
-        nums, f = list(_fill(m, n)), 1  # f = D!/k!
-        for k in range(D, -1, -1):
-            nums[k] = nums[k] * f << k
-            f *= k or 1
-        _polys[m, n] = Poly(nums, 2 * m + 3 * n, f << D)
-    return _polys[m, n]
+    index; a request for a built index of two ints is one dict lookup."""
+    poly = _polys.get((m, n)) if type(m) is int and type(n) is int else None
+    if poly is None:
+        m, n = _validate_index((m, n))
+        j = n  # down the column to its last built entry, then solve up to n
+        while (0, j) not in _polys:
+            j -= 1
+        for j in range(j + 1, n + 1):
+            _polys[0, j] = _column_entry(j)
+        i = m  # left along the row to its last built entry, then step to m
+        while (i, n) not in _polys:
+            i -= 1
+        for i in range(i + 1, m + 1):
+            _polys[i, n] = _row_step(_polys[i - 1, n])
+        poly = _polys[m, n]
+    return poly
 
 
 def verify_ode_residual(idx: MomentIndex, poly: Poly) -> bool:
@@ -106,24 +155,25 @@ def verify_ode_residual(idx: MomentIndex, poly: Poly) -> bool:
 
 
 def _scaled_value(idx: MomentIndex, p: int, s: int) -> int:
-    """D! (2s)^D P_{m,n}(p/s) = sum_k q_k (2p)^k prod_{i=k+1..D} (i s), an integer."""
-    q = _fill(*idx)
-    t = 2 * p
+    """N = D! (2s)^D P_{m,n}(p/s) = (D! 2^D / den) sum_k nums_k p^k s^(D-k), an integer."""
+    m, n = idx
+    poly = joint_moment(m, n)
+    D = m + 2 * n
     acc, w = 0, 1
-    for k in range(len(q) - 1, -1, -1):
-        acc = acc * t + q[k] * w
-        w *= k * s
-    return acc
+    for c in reversed(poly.nums):
+        acc, w = acc * p + c * w, w * s
+    return (math.factorial(D) << D) // poly.den * acc
 
 
 def correlation_from_moments(x: float, mu: float) -> float:
-    """Correlation of (tau, A) computed from the integer moment lists.
+    """Correlation of (tau, A) computed exactly from the moment Polys.
 
     The mu powers cancel in cov^2 / (var_tau * var_area), which depends on
     gamma = mu*x alone.  With gamma = p/s from the inputs' integer ratios
     (s a power of 2 for floats), N_{m,n} = D! (2s)^D P_{m,n}(gamma) with
-    D = m + 2n is an integer for each of the five moments used, and the
-    ratio is
+    D = m + 2n is an integer for each of the five moments used: a moment's
+    den divides D! 2^D, so N is (D! 2^D / den) times the integer
+    sum_k nums_k p^k s^(D-k), read straight from its Poly.  The ratio is
     4 (N11 - 3 N10 N01)^2 / (3 (N20 - 2 N10^2)(N02 - 6 N01^2)) exactly.  One
     correctly rounded integer division and one square root give the result:
     the correlation of the exact moments, rounded twice.

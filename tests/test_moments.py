@@ -104,14 +104,23 @@ class TestStructureLaws:
         # x^1*mu^0 has weight 1, not the 2 of V_{1,0} = x/mu
         assert not verify_ode_residual((1, 0), parse_polynomial("(1)*x^1*mu^0"))
 
+    def test_ode_residual_over_the_triangle(self):
+        # rows m >= 1 come from the Girsanov row law, not from the ODE, so
+        # the ODE is an independent check of every entry.  The residual
+        # alone admits the homogeneous constant (a row step off by one in
+        # W - k passes it), so the boundary value V(0) = 0 is checked too.
+        for d in range(1, 33):
+            for m in range(d + 1):
+                v = joint_moment(m, d - m)
+                assert v.coefficient(0) == 0 and verify_ode_residual((m, d - m), v), (m, d - m)
+
     def test_all_coefficients_positive(self):
-        # observed throughout the accessible lattice; regression-guarded here
-        table = fill_table(6, 6)
-        for (m, n), v in table.items():
-            if m + n > 6:
-                continue
-            for k in range(1, v.degree + 1):
-                assert v.coefficient(k) > 0, (m, n, k)
+        # the column has no negative coefficient and a row step multiplies
+        # by W - k >= m + n; Poly.evaluate's early float-range error needs it
+        for d in range(1, 33):
+            for m in range(d + 1):
+                v = joint_moment(m, d - m)
+                assert v.nums[0] == 0 and all(c > 0 for c in v.nums[1:]), (m, d - m)
 
     def test_scaled_coefficients_are_integers(self):
         # the engine's integer lists q_k are c_k k! 2^(D-k), D = m+2n, of the
@@ -263,6 +272,7 @@ class TestDriver:
     def test_memoization_is_idempotent(self):
         first = joint_moment(3, 2)
         assert joint_moment(3, 2) is first
+        assert joint_moment(np.int64(3), np.int64(2)) is first
 
     def test_rejects_bad_arguments(self):
         for m, n in [(-1, 0), (1.5, 0)]:
@@ -296,6 +306,22 @@ class TestDriver:
         assert proc.stdout.strip() == (
             "e7622c3c68e01a28a3450676c01714a93f6aa50aa0c1c991ff06b0b1ed488154"
         )
+
+    def test_deep_requests_do_not_recurse(self):
+        # a fresh interpreter with a small recursion limit: a request walks
+        # along its row and up its column in loops, not in nested calls
+        script = (
+            "import sys\n"
+            "from fparea.moments import joint_moment\n"
+            "sys.setrecursionlimit(120)\n"
+            "for m, n in [(400, 1), (0, 40)]:\n"
+            "    v = joint_moment(m, n)\n"
+            "    print(m, n, v.degree, v.weight)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["400 1 402 803", "0 40 80 120", ""]
 
 
 class TestAgainstDensityQuadrature:
