@@ -21,7 +21,7 @@ from .closed_forms import (
     rho_exact,
     w_joint,
 )
-from .laurent import Poly, parse_polynomial
+from .laurent import Poly
 from .mc import (
     DegenerateVarianceError,
     EstimatorSummary,
@@ -64,7 +64,6 @@ __all__ = [
     "fpt_density",
     "fpt_laplace",
     "joint_moment",
-    "parse_polynomial",
     "rho_exact",
     "run",
     "simulate_path",

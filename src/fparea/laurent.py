@@ -1,4 +1,4 @@
-"""Exact coefficient algebra for first-passage moment polynomials.
+"""The exact moment polynomial: integer numerators over one denominator.
 
 Brownian scaling makes every joint moment E[tau^m A^n] of drifted Brownian
 motion killed at zero equal to mu^-(2m+3n) * P_{m,n}(mu*x), with P_{m,n} a
@@ -6,51 +6,46 @@ polynomial over the rationals.  `Poly` holds that shape: a weight W and the
 coefficients c_k of gamma = mu*x, so the coefficient of x^k is the single
 monomial c_k * mu^(k-W).  Each c_k is stored as nums[k] / den, over one den > 0.
 
-All arithmetic is exact.  Floating point appears only on the `evaluate`
-readout path, and only when the caller passes a float.
+`moments` builds every `Poly` from integers; this module only stores,
+renders and reads them out.  Floating point appears only on the `evaluate`
+readout path, and only when the caller passes a float.  The module keeps
+its name from the Laurent-polynomial type it once held, because the
+benchmark's span tracer (perfbench/spans.py) hooks `Poly.to_text` and
+`Poly.evaluate` under `fparea.laurent`.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable
 
 
 class Poly:
     """Homogeneous polynomial mu^-weight * sum_k (nums[k] / den) * (mu x)^k.
 
-    Built from int or Fraction coefficients (over `den`) in lowest terms,
-    read back as `Fraction`s by `coeffs`; trailing zeros are trimmed, so the
-    leading numerator is nonzero unless the polynomial is zero (empty tuple,
-    degree -1, weight 0).  Sums need equal weights, zero being neutral;
-    products add them.  Moment polynomials vanish at x = 0; that invariant
-    belongs to the moment table, not to this type, because formal
-    derivatives legitimately carry constant terms.
+    Built from int numerators over `den` and kept in lowest terms, with
+    trailing zeros trimmed, so the leading numerator is nonzero unless the
+    polynomial is zero (empty tuple, degree -1, weight 0).  A non-integer
+    numerator raises TypeError rather than being truncated.
     """
 
     __slots__ = ("nums", "den", "weight")
 
-    def __init__(self, coeffs: Iterable[int | Fraction] = (), weight: int = 0, den: int = 1):
-        nums = list(coeffs)
-        if not all(type(c) is int for c in nums):
-            den *= (scale := math.lcm(*(Fraction(c).denominator for c in nums)))
-            nums = [int(Fraction(c) * scale) for c in nums]
+    def __init__(self, nums: Iterable[int] = (), weight: int = 0, den: int = 1):
+        nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
         g = math.gcd(den, *nums)
-        self.nums = tuple(c // g for c in nums)
-        self.den = den // g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
         self.weight = int(weight) if nums else 0
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
@@ -60,44 +55,10 @@ class Poly:
         """Coefficient of gamma^k; zero outside 0..degree."""
         return Fraction(self.nums[k] if 0 <= k < len(self.nums) else 0, self.den)
 
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
         return (self.weight, self.den, self.nums) == (other.weight, other.den, other.nums)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.nums], self.weight, self.den)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not (self.nums and other.nums):
-            return self if self.nums else other
-        if self.weight != other.weight:
-            raise ValueError(f"cannot add polynomials of weight {self.weight} and {other.weight}")
-        a, b = other.den, self.den
-        nums = [a * u + b * v for u, v in zip_longest(self.nums, other.nums, fillvalue=0)]
-        return Poly(nums, self.weight, a * b)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not self.nums or not other.nums:
-            return Poly()
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums):
-                    out[i + j] += a * b
-        return Poly(out, self.weight + other.weight, self.den * other.den)
-
-    def differentiate(self) -> "Poly":
-        """Formal derivative in x (weight - 1); the result may have a constant term."""
-        return Poly([k * self.nums[k] for k in range(1, len(self.nums))], self.weight - 1, self.den)
 
     def evaluate(self, x, mu):
         """Readout at (x, mu), mu > 0; exact when both are int or Fraction.
@@ -166,7 +127,7 @@ class Poly:
 
         One term ``(c_k)*x^k*mu^(k-weight)`` per nonzero coefficient, in
         decreasing x power; a weight-0 constant renders as a bare rational
-        (``1``), zero as ``0``.  `parse_polynomial` inverts this exactly.
+        (``1``), zero as ``0``.
         """
         if self.degree <= 0 and self.weight == 0:
             return str(self.coefficient(0))
@@ -181,32 +142,3 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.to_text()})"
 
-
-_TERM_RE = re.compile(r"\((-?\d+(?:/\d+)?)\)\*x\^(\d+)\*mu\^(-?\d+)")
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
-
-
-def parse_polynomial(text: str) -> Poly:
-    """Parse the `to_text` format back into a Poly.
-
-    Raises ValueError on anything that is not a well-formed rendering,
-    including terms ``x^k*mu^e`` whose weights k - e differ: such text is
-    not of the form mu^-W * P(mu*x).
-    """
-    body = text.strip()
-    if body == "0":
-        return Poly()
-    if _RATIONAL_RE.fullmatch(body):
-        return Poly([Fraction(body)])
-    coeffs: dict[int, Fraction] = {}
-    weights = set()
-    for part in body.split(" + "):
-        m = _TERM_RE.fullmatch(part.strip())
-        if m is None:
-            raise ValueError(f"malformed polynomial term: {part!r}")
-        q, k, e = Fraction(m.group(1)), int(m.group(2)), int(m.group(3))
-        weights.add(k - e)
-        coeffs[k] = coeffs.get(k, 0) + q
-    if len(weights) > 1:
-        raise ValueError(f"terms of unequal weight k - e {sorted(weights)}: {text!r}")
-    return Poly((coeffs.get(k, 0) for k in range(max(coeffs) + 1)), weights.pop())

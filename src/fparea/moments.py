@@ -38,8 +38,8 @@ V_{m+1,n} = (x V_{m,n} - dV_{m,n}/dmu) / mu, that is
 On the numerators over the same den this reads
 nums'_k = (W - k) nums_k + nums_{k-1} for k = 0..D+1 (entries out of range
 are 0), with weight W + 2; lowest terms can only shrink den.  No row entry
-is solved from the ODE, so `verify_ode_residual` is an independent check
-of every entry.
+is solved from the ODE, so the ODE residual, with V(0) = 0, is an
+independent check of every row entry.
 
 No coefficient is negative.  Down the column rho_j <= 0 by induction, so
 q_k >= q_{k+1} >= 0; a row step multiplies by W - k >= W - D = m + n >= 0
@@ -137,21 +137,6 @@ def joint_moment(m: int, n: int) -> Poly:
             _polys[i, n] = _row_step(_polys[i - 1, n])
         poly = _polys[m, n]
     return poly
-
-
-def verify_ode_residual(idx: MomentIndex, poly: Poly) -> bool:
-    """True iff (1/2) V'' - mu V' + m V_{m-1,n} + n x V_{m,n-1} = 0 exactly for
-    V = poly, in `Poly` algebra over `joint_moment`'s lower moments."""
-    m, n = _validate_index(idx)
-    if poly.weight != 2 * m + 3 * n:
-        return False
-    dv = poly.differentiate()
-    residual = Poly([1], den=2) * dv.differentiate() - Poly([1], weight=-1) * dv  # mu V'
-    if m:
-        residual = residual + Poly([m]) * joint_moment(m - 1, n)
-    if n:
-        residual = residual + Poly([0, n], weight=1) * joint_moment(m, n - 1)  # n x
-    return not residual
 
 
 def _scaled_value(idx: MomentIndex, p: int, s: int) -> int:

@@ -18,6 +18,10 @@ bitwise.
 `solve_explicit_inverse` solves the moment recursion by a route other than
 the shipped integer recursion: the closed-form inverse of its coefficient
 matrix, in `Fraction` arithmetic, over a plain {index: Poly} table.
+`ode_residual_holds` checks a moment against its ODE and boundary value,
+read coefficient by coefficient; the engine solves only the m = 0 column
+from the ODE, so for the rows it is an independent check.  `variance`
+forms E[Y^2] - E[Y]^2 of two moment polynomials in integer arithmetic.
 
 `scan_rows_one_pass` is the row scan as it was before the bridge band:
 one pass over a whole block, with a uniform drawn for every step, and a
@@ -28,11 +32,13 @@ each row's band entry on.
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from fparea.kernels import BRIDGE_LOG_FLOOR
 from fparea.laurent import Poly
+from fparea.moments import joint_moment
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -141,7 +147,39 @@ def solve_explicit_inverse(idx, table):
             c *= Fraction(j - 1, 2)
             acc += c * r[j]
         a[i] = acc
-    return Poly(a, 2 * m + 3 * n)
+    den = math.lcm(*(c.denominator for c in a))
+    return Poly([c.numerator * (den // c.denominator) for c in a], 2 * m + 3 * n, den)
+
+
+def ode_residual_holds(idx, poly):
+    """True iff poly has weight 2m+3n, P(0) = 0, and at mu = 1
+
+        (1/2) P'' - P' + m P_{m-1,n} + n gamma P_{m,n-1} = 0,
+
+    with the neighbours from `joint_moment`.  The residual alone admits the
+    homogeneous constant, hence the boundary value.
+    """
+    m, n = idx
+    if poly.weight != 2 * m + 3 * n or poly.coefficient(0) != 0:
+        return False
+    c = poly.coefficient
+    tau = joint_moment(m - 1, n).coefficient if m else lambda k: 0
+    area = joint_moment(m, n - 1).coefficient if n else lambda k: 0
+    return all(
+        Fraction((j + 2) * (j + 1), 2) * c(j + 2) - (j + 1) * c(j + 1) + m * tau(j) + n * area(j - 1) == 0
+        for j in range(max(poly.degree, m + 2 * n) + 1)
+    )
+
+
+def variance(first, second):
+    """second - first^2 as a Poly, over the common denominator second.den * first.den^2."""
+    square = [0] * (2 * len(first.nums) - 1)
+    for i, a in enumerate(first.nums):
+        for j, b in enumerate(first.nums):
+            square[i + j] += a * b
+    scale = first.den * first.den
+    nums = [c * scale - s * second.den for c, s in zip_longest(second.nums, square, fillvalue=0)]
+    return Poly(nums, second.weight, second.den * scale)
 
 
 def scan_rows_one_pass(x0, s_carry, area_carry, drift, sqrt_dt, dt, use_bridge, z, u):

@@ -12,17 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import solve_explicit_inverse
+from oracles import ode_residual_holds, solve_explicit_inverse, variance
 from quad import integrate_density
 
 from fparea.closed_forms import ModelParams, fpt_density, rho_exact
-from fparea.laurent import Poly, parse_polynomial
+from fparea.laurent import Poly
 from fparea.moments import (
     assemble_rhs,
     correlation_from_moments,
     joint_moment,
     solve_back_substitution,
-    verify_ode_residual,
 )
 
 # Closed forms established independently of the recursion (direct ODE
@@ -51,16 +50,12 @@ def fill_table(max_m, max_n, oracle=False):
 class TestKnownClosedForms:
     @pytest.mark.parametrize("idx,text", sorted(KNOWN.items()))
     def test_both_solvers_reproduce(self, idx, text):
-        expected = parse_polynomial(text)
-        assert joint_moment(*idx) == expected
-        assert fill_table(2, 2, oracle=True)[idx] == expected
+        assert joint_moment(*idx).to_text() == text
+        assert fill_table(2, 2, oracle=True)[idx].to_text() == text
 
     def test_area_variance_polynomial(self):
-        v01 = joint_moment(0, 1)
-        var = joint_moment(0, 2) - v01 * v01
-        assert var == parse_polynomial(
-            "(1/3)*x^3*mu^-3 + (1)*x^2*mu^-4 + (5/4)*x^1*mu^-5"
-        )
+        var = variance(joint_moment(0, 1), joint_moment(0, 2))
+        assert var.to_text() == "(1/3)*x^3*mu^-3 + (1)*x^2*mu^-4 + (5/4)*x^1*mu^-5"
 
     def test_point_values(self):
         assert joint_moment(1, 1).evaluate(F(1), F(1)) == F(5, 2)
@@ -95,24 +90,26 @@ class TestStructureLaws:
                 assert v.weight == 2 * m + 3 * n
                 assert v.coefficient(0) == 0
                 assert v == ei[m, n]
-                assert verify_ode_residual((m, n), v)
+                assert ode_residual_holds((m, n), v)
 
     def test_residual_detects_perturbation(self):
         v = joint_moment(1, 1)
-        assert verify_ode_residual((1, 1), v)
-        assert not verify_ode_residual((1, 1), v + parse_polynomial("(1)*x^2*mu^-3"))
+        assert ode_residual_holds((1, 1), v)
+        nums = list(v.nums)
+        nums[2] += v.den  # v plus x^2*mu^-3, a term of the same weight 5
+        assert not ode_residual_holds((1, 1), Poly(nums, v.weight, v.den))
         # x^1*mu^0 has weight 1, not the 2 of V_{1,0} = x/mu
-        assert not verify_ode_residual((1, 0), parse_polynomial("(1)*x^1*mu^0"))
+        assert not ode_residual_holds((1, 0), Poly([0, 1], 1))
 
     def test_ode_residual_over_the_triangle(self):
         # rows m >= 1 come from the Girsanov row law, not from the ODE, so
         # the ODE is an independent check of every entry.  The residual
         # alone admits the homogeneous constant (a row step off by one in
-        # W - k passes it), so the boundary value V(0) = 0 is checked too.
+        # W - k passes it), so the check asserts V(0) = 0 as well.
         for d in range(1, 33):
             for m in range(d + 1):
                 v = joint_moment(m, d - m)
-                assert v.coefficient(0) == 0 and verify_ode_residual((m, d - m), v), (m, d - m)
+                assert ode_residual_holds((m, d - m), v), (m, d - m)
 
     def test_all_coefficients_positive(self):
         # the column has no negative coefficient and a row step multiplies
@@ -131,7 +128,8 @@ class TestStructureLaws:
                 n = d - m
                 D = m + 2 * n
                 oracle[m, n] = solve_explicit_inverse((m, n), oracle)
-                scaled = [c * math.factorial(k) * 2 ** (D - k) for k, c in enumerate(oracle[m, n].coeffs)]
+                p = oracle[m, n]
+                scaled = [p.coefficient(k) * math.factorial(k) * 2 ** (D - k) for k in range(p.degree + 1)]
                 joint_moment(m, n)
                 assert solve_back_substitution(assemble_rhs((m, n))) == scaled, (m, n)
 
