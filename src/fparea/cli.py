@@ -129,7 +129,9 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
-def _sim_config(args, x: float, mu: float) -> SimConfig:
+def _sim_config(args, x: float, mu: float, min_paths: int = 1) -> SimConfig:
+    if args.paths < min_paths:
+        raise ValueError(f"--paths must be at least {min_paths}, got {args.paths}")
     return SimConfig(
         params=ModelParams(x, mu),
         dt=args.dt,
@@ -178,7 +180,9 @@ def cmd_correlation(args) -> int:
         raise ValueError("--mu-list is empty")
     for mu in drifts:
         _positive("--mu-list entry", mu)
-    configs = [_sim_config(args, x, mu) if args.simulate else None for mu in drifts]
+    configs = [
+        _sim_config(args, x, mu, mc.MIN_CORRELATION_SAMPLES) if args.simulate else None for mu in drifts
+    ]
 
     header = ["gamma", "rho_exact"] + (["rho_mc", "rho_mc_stderr"] if args.simulate else [])
     sep, align = (",", "") if args.format == "csv" else ("  ", ">22")
@@ -227,7 +231,7 @@ def cmd_simulate(args) -> int:
     with _open_out(args.out) as out:
         samples, status = _simulate(config)
         mc.write_samples_csv(samples, out)
-    if len(samples) >= 2:
+    if len(samples) >= mc.MIN_SAMPLES:
         _report_summaries(samples, f"simulate x={config.params.x} mu={config.params.mu}")
     return status
 
@@ -239,12 +243,13 @@ def cmd_density(args) -> int:
         if args.out is None:
             raise ValueError("--figure1 writes one file per drift and requires --out DIR")
         jobs = [
-            (_sim_config(args, 1.0, mu), os.path.join(args.out, f"fpa_density_mu_{mu:g}.csv"))
+            (_sim_config(args, 1.0, mu, mc.MIN_SAMPLES), os.path.join(args.out, f"fpa_density_mu_{mu:g}.csv"))
             for mu in FIGURE_DRIFTS
         ]
         os.makedirs(args.out, exist_ok=True)
     else:
-        jobs = [(_sim_config(args, _positive("--x", args.x), _positive("--mu", args.mu)), args.out)]
+        x, mu = _positive("--x", args.x), _positive("--mu", args.mu)
+        jobs = [(_sim_config(args, x, mu, mc.MIN_SAMPLES), args.out)]
     status = 0
     for config, path in jobs:
         with _open_out(path) as out:
@@ -258,7 +263,7 @@ def cmd_density(args) -> int:
 
 def cmd_time_average(args) -> int:
     params = ModelParams(_positive("--x", args.x), _positive("--mu", args.mu))
-    config = _sim_config(args, params.x, params.mu) if args.simulate else None
+    config = _sim_config(args, params.x, params.mu, mc.MIN_SAMPLES) if args.simulate else None
     status = 0
     with _open_out(args.out) as out:
         out.write(f"exact,{closed_forms.expected_time_average(params):.17g}\n")

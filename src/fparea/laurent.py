@@ -7,11 +7,12 @@ coefficients c_k of gamma = mu*x, so the coefficient of x^k is the single
 monomial c_k * mu^(k-W).  Each c_k is stored as nums[k] / den, over one den > 0.
 
 `moments` builds every `Poly` from integers; this module only stores,
-renders and reads them out.  Floating point appears only on the `evaluate`
-readout path, and only when the caller passes a float.  The module keeps
-its name from the Laurent-polynomial type it once held, because the
-benchmark's span tracer (perfbench/spans.py) hooks `Poly.to_text` and
-`Poly.evaluate` under `fparea.laurent`.
+renders and reads them out.  Every exact readout, here and in `moments`,
+runs one integer Horner, `Poly.homogenized`.  Floating point appears only
+on the `evaluate` readout path, and only when the caller passes a float.
+The module keeps its name from the Laurent-polynomial type it once held,
+because the benchmark's span tracer (perfbench/spans.py) hooks
+`Poly.to_text` and `Poly.evaluate` under `fparea.laurent`.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ class Poly:
             return NotImplemented
         return (self.weight, self.den, self.nums) == (other.weight, other.den, other.nums)
 
+    def homogenized(self, p: int, s: int) -> int:
+        """s^D den P(p/s) = sum_k nums_k p^k s^(D-k), an integer; D = degree, 0 for zero."""
+        acc, w = 0, 1
+        for c in reversed(self.nums):
+            acc, w = acc * p + c * w, w * s
+        return acc
+
     def evaluate(self, x, mu):
         """Readout at (x, mu), mu > 0; exact when both are int or Fraction.
 
@@ -77,10 +85,7 @@ class Poly:
                 raise ValueError(f"mu must be positive, got {mu}")
             muq = Fraction(mu)
             p, s = (Fraction(x) * muq).as_integer_ratio()
-            acc, w = 0, 1  # acc ends as s^D den P(gamma), w as s^(D+1)
-            for c in reversed(self.nums):
-                acc, w = acc * p + c * w, w * s
-            return Fraction(acc * s, w * self.den) * muq**-self.weight
+            return Fraction(self.homogenized(p, s), s ** max(self.degree, 0) * self.den) * muq**-self.weight
         xf = float(x)
         muf = float(mu)
         if not muf > 0.0:

@@ -123,6 +123,11 @@ _WORKER_STEPS = 2_000_000
 # makes glibc raise the trim threshold to twice the size, above the churn
 # of a round; other allocators are unaffected.
 _HEAP_PRIME_BYTES = 4 << 20
+# The fewest uncensored samples the estimators take: a sample standard
+# error, or a histogram's range, needs two; the Fisher-z standard error of
+# the correlation divides by sqrt(n - 3), so three are still too few.
+MIN_SAMPLES = 2
+MIN_CORRELATION_SAMPLES = 4
 
 
 class InsufficientSamplesError(ValueError):
@@ -403,17 +408,18 @@ def run(config: SimConfig) -> list[PassageSample]:
     return _scan_split(config, _workers(config))
 
 
-def _uncensored(samples: Sequence[PassageSample]) -> tuple[np.ndarray, np.ndarray, int]:
+def _uncensored(samples: Sequence[PassageSample], least: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """tau and area of the uncensored samples, at least `least` of them, and the censored count."""
     taus = np.array([s.tau for s in samples if not s.censored])
     areas = np.array([s.area for s in samples if not s.censored])
+    if len(taus) < least:
+        raise InsufficientSamplesError(f"need at least {least} uncensored samples, have {len(taus)}")
     return taus, areas, len(samples) - len(taus)
 
 
 def _mean(samples: Sequence[PassageSample], per_path) -> EstimatorSummary:
     """Sample mean and standard error of per_path(taus, areas)."""
-    taus, areas, censored = _uncensored(samples)
-    if len(taus) < 2:
-        raise InsufficientSamplesError(f"need at least 2 uncensored samples, have {len(taus)}")
+    taus, areas, censored = _uncensored(samples, MIN_SAMPLES)
     vals = per_path(taus, areas)
     se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
     return EstimatorSummary(float(vals.mean()), se, len(vals), censored)
@@ -430,10 +436,7 @@ def estimate_joint_moment(
 
 def estimate_correlation(samples: Sequence[PassageSample]) -> EstimatorSummary:
     """Pearson correlation of (tau, area); Fisher-z delta standard error."""
-    taus, areas, censored = _uncensored(samples)
-    # Fisher-z standard error divides by sqrt(n - 3), so n = 3 is still too few.
-    if len(taus) < 4:
-        raise InsufficientSamplesError(f"need at least 4 uncensored samples, have {len(taus)}")
+    taus, areas, censored = _uncensored(samples, MIN_CORRELATION_SAMPLES)
     if taus.var() == 0.0 or areas.var() == 0.0:
         raise DegenerateVarianceError("tau or area sample variance is zero")
     r = float(np.corrcoef(taus, areas)[0, 1])
@@ -450,9 +453,7 @@ def estimate_density(samples: Sequence[PassageSample], bins: int) -> HistogramDe
     """Normalized area histogram over [0, 99.5th percentile]."""
     if bins < 2:
         raise ValueError(f"bins must be at least 2, got {bins}")
-    _, areas, _ = _uncensored(samples)
-    if len(areas) < 2:
-        raise InsufficientSamplesError(f"need at least 2 uncensored samples, have {len(areas)}")
+    _, areas, _ = _uncensored(samples, MIN_SAMPLES)
     mass, edges = np.histogram(areas, bins=bins, range=(0.0, float(np.percentile(areas, 99.5))), density=True)
     return HistogramDensity(edges, mass)
 

@@ -139,29 +139,18 @@ def joint_moment(m: int, n: int) -> Poly:
     return poly
 
 
-def _scaled_value(idx: MomentIndex, p: int, s: int) -> int:
-    """N = D! (2s)^D P_{m,n}(p/s) = (D! 2^D / den) sum_k nums_k p^k s^(D-k), an integer."""
-    m, n = idx
-    poly = joint_moment(m, n)
-    D = m + 2 * n
-    acc, w = 0, 1
-    for c in reversed(poly.nums):
-        acc, w = acc * p + c * w, w * s
-    return (math.factorial(D) << D) // poly.den * acc
-
-
 def correlation_from_moments(x: float, mu: float) -> float:
     """Correlation of (tau, A) computed exactly from the moment Polys.
 
     The mu powers cancel in cov^2 / (var_tau * var_area), which depends on
-    gamma = mu*x alone.  With gamma = p/s from the inputs' integer ratios
-    (s a power of 2 for floats), N_{m,n} = D! (2s)^D P_{m,n}(gamma) with
-    D = m + 2n is an integer for each of the five moments used: a moment's
-    den divides D! 2^D, so N is (D! 2^D / den) times the integer
-    sum_k nums_k p^k s^(D-k), read straight from its Poly.  The ratio is
-    4 (N11 - 3 N10 N01)^2 / (3 (N20 - 2 N10^2)(N02 - 6 N01^2)) exactly.  One
-    correctly rounded integer division and one square root give the result:
-    the correlation of the exact moments, rounded twice.
+    gamma = mu*x alone.  With gamma = p/s in lowest terms, from the inputs'
+    integer ratios, N_{m,n} = D! (2s)^D P_{m,n}(gamma), D = m + 2n its degree,
+    is an integer for each of the five moments used: a moment's den divides
+    D! 2^D, so N is (D! 2^D / den) times `Poly.homogenized(p, s)`.  The
+    ratio 4 (N11 - 3 N10 N01)^2 / (3 (N20 - 2 N10^2)(N02 - 6 N01^2)) is exact
+    and of degree 0 in (p, s).  One correctly rounded integer division and
+    one square root give the result: the correlation of the exact moments,
+    rounded twice.
     """
     if not (0 < x < math.inf and 0 < mu < math.inf):
         raise ValueError(f"x and mu must be positive and finite, got x={x}, mu={mu}")
@@ -170,8 +159,12 @@ def correlation_from_moments(x: float, mu: float) -> float:
         rational = isinstance(v, numbers.Rational)
         a, b = (v.numerator, v.denominator) if rational else v.as_integer_ratio()
         p, s = p * int(a), s * int(b)
+    g = math.gcd(p, s)
+    p, s = p // g, s // g
     n10, n01, n11, n20, n02 = (
-        _scaled_value(idx, p, s) for idx in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+        (math.factorial(m + 2 * n) << m + 2 * n) // poly.den * poly.homogenized(p, s)
+        for m, n in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+        for poly in (joint_moment(m, n),)
     )
     cov = n11 - 3 * n10 * n01
     return math.sqrt(4 * cov * cov / (3 * (n20 - 2 * n10 * n10) * (n02 - 6 * n01 * n01)))

@@ -412,6 +412,28 @@ class TestParserShell:
         assert code == 2
         assert out == "" and err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["correlation", "--x", "1", "--mu-list", "1,2", "--simulate", "--paths", "3"],
+            ["time-average", "--x", "1", "--mu", "1", "--simulate", "--paths", "1"],
+            ["density", "--x", "1", "--mu", "1", "--paths", "1", "--out", "{out}"],
+            ["density", "--figure1", "--paths", "1", "--out", "{out}"],
+        ],
+        ids=["correlation", "time-average", "density", "density-figure1"],
+    )
+    def test_too_few_paths_is_an_argument_error(self, capsys, monkeypatch, tmp_path, argv):
+        # the estimator's minimum is checked with the other flags, before any output
+        def no_run(*args):
+            raise AssertionError("simulated before --paths was checked")
+
+        monkeypatch.setattr("fparea.mc.run", no_run)
+        target = tmp_path / "out"
+        code, out, err = run_cli(capsys, *[arg.format(out=target) for arg in argv])
+        assert code == 2
+        assert out == "" and err.startswith("error: --paths must be at least") and "Traceback" not in err
+        assert not target.exists()
+
     @pytest.mark.parametrize("bad", [["--x", "-1", "--mu", "1"], ["--x", "1", "--mu", "0"]])
     def test_moment_checks_flags_before_computing(self, capsys, monkeypatch, bad):
         def no_fill(m, n):

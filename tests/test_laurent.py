@@ -88,6 +88,20 @@ class TestRingProperties:
             assert math.isclose(float(exact), approx, rel_tol=1e-10, abs_tol=1e-10)
 
 
+class TestIntegerForm:
+    def test_homogenized_is_the_scaled_value(self):
+        # s^D den P(p/s), with D the degree, taken as 0 for the zero polynomial
+        rng = np.random.default_rng(110)
+        for poly in [random_poly(rng) for _ in range(200)] + [Poly([1]), ZERO]:
+            for p, s in ((3, 2), (-5, 7), (0, 1), (1, 9)):
+                value = sum((poly.coefficient(k) * F(p, s) ** k for k in range(poly.degree + 1)), F(0))
+                got = poly.homogenized(p, s)
+                assert type(got) is int and got == s ** max(poly.degree, 0) * poly.den * value
+
+    def test_zero_reads_zero_exactly(self):
+        assert Poly([]).evaluate(F(3, 2), 2) == 0
+
+
 class TestTextFormat:
     def test_known_renderings(self):
         assert ZERO.to_text() == "0"

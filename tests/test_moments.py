@@ -344,6 +344,13 @@ class TestCorrelation:
         want = math.sqrt(147.0 / 175.0)
         np.testing.assert_allclose(correlation_from_moments(10.0, 0.5), want, rtol=1e-14)
 
+    def test_numeric_types_give_the_same_bits(self):
+        # 0.375 and 1.25 are exact in float32 too
+        want = correlation_from_moments(0.375, 1.25).hex()
+        for x, mu in [(F(3, 8), F(5, 4)), (np.float64(0.375), np.float64(1.25)),
+                      (np.float32(0.375), np.float32(1.25))]:
+            assert correlation_from_moments(x, mu).hex() == want
+
     def test_rejects_nonpositive_inputs(self):
         inf, nan = float("inf"), float("nan")
         for x, mu in [
