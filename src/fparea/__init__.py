@@ -68,4 +68,6 @@ __all__ = [
     "run",
     "simulate_path",
     "w_joint",
+    "write_histogram_csv",
+    "write_samples_csv",
 ]

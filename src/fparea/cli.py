@@ -6,9 +6,11 @@ with summary), `density` (area histograms, with a seven-drift preset),
 and `time-average`.  All flags are long-form; every command is
 deterministic given its full flag set.  Exit codes: 0 success, 2 argument
 error or unwritable output path, 3 statistical-quality failure (censored
-fraction above 1%).
+fraction above 1%, or too few uncensored samples or zero sample variance
+for an estimator; output written before it stays).
 
-Every command validates its flags and opens its output before it computes.
+Every command validates its flags and opens its output before it computes;
+`correlation` and `time-average` compute their exact values with the flags.
 The four simulating commands (`simulate`, `density`, `correlation
 --simulate`, `time-average --simulate`) each run through `_simulate`,
 which applies the censoring rule (exit 3) to every one of them.
@@ -28,6 +30,9 @@ from .mc import SimConfig
 
 FIGURE_DRIFTS = (1.0, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0)
 CENSOR_FAIL_FRACTION = 0.01
+# censoring can leave a run too few uncensored samples, or samples without
+# spread, for an estimator: a statistical-quality failure, not a flag error
+_SAMPLE_ERRORS = (mc.InsufficientSamplesError, mc.DegenerateVarianceError)
 
 
 def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
@@ -183,15 +188,15 @@ def cmd_correlation(args) -> int:
     configs = [
         _sim_config(args, x, mu, mc.MIN_CORRELATION_SAMPLES) if args.simulate else None for mu in drifts
     ]
+    exact = [(mu * x, closed_forms.rho_exact(mu * x)) for mu in drifts]
 
     header = ["gamma", "rho_exact"] + (["rho_mc", "rho_mc_stderr"] if args.simulate else [])
     sep, align = (",", "") if args.format == "csv" else ("  ", ">22")
     status = 0
     with _open_out(args.out) as out:
         out.write(sep.join(format(h, align) for h in header) + "\n")
-        for mu, config in zip(drifts, configs):
-            gamma = mu * x
-            row = [gamma, closed_forms.rho_exact(gamma)]
+        for (gamma, rho), config in zip(exact, configs):
+            row = [gamma, rho]
             if args.simulate:
                 samples, code = _simulate(config)
                 summary = mc.estimate_correlation(samples)
@@ -203,14 +208,14 @@ def cmd_correlation(args) -> int:
 
 def _report_summaries(samples, label: str) -> None:
     print(f"# {label}", file=sys.stderr)
-    mean_tau = mc.estimate_joint_moment(samples, 1, 0)
-    mean_area = mc.estimate_joint_moment(samples, 0, 1)
-    print(
-        f"mean_tau {mean_tau.estimate:.6g} (se {mean_tau.std_error:.3g}), "
-        f"mean_area {mean_area.estimate:.6g} (se {mean_area.std_error:.3g})",
-        file=sys.stderr,
-    )
     try:
+        mean_tau = mc.estimate_joint_moment(samples, 1, 0)
+        mean_area = mc.estimate_joint_moment(samples, 0, 1)
+        print(
+            f"mean_tau {mean_tau.estimate:.6g} (se {mean_tau.std_error:.3g}), "
+            f"mean_area {mean_area.estimate:.6g} (se {mean_area.std_error:.3g})",
+            file=sys.stderr,
+        )
         corr = mc.estimate_correlation(samples)
         ta = mc.estimate_time_average(samples)
         print(
@@ -218,12 +223,10 @@ def _report_summaries(samples, label: str) -> None:
             f"time_average {ta.estimate:.6g} (se {ta.std_error:.3g})",
             file=sys.stderr,
         )
-    except (mc.InsufficientSamplesError, mc.DegenerateVarianceError) as exc:
-        print(f"correlation/time_average unavailable: {exc}", file=sys.stderr)
-    print(
-        f"uncensored {mean_tau.n_effective}, censored {mean_tau.censored_count}",
-        file=sys.stderr,
-    )
+    except _SAMPLE_ERRORS as exc:
+        print(f"summaries unavailable: {exc}", file=sys.stderr)
+    censored = sum(s.censored for s in samples)
+    print(f"uncensored {len(samples) - censored}, censored {censored}", file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
@@ -231,8 +234,7 @@ def cmd_simulate(args) -> int:
     with _open_out(args.out) as out:
         samples, status = _simulate(config)
         mc.write_samples_csv(samples, out)
-    if len(samples) >= mc.MIN_SAMPLES:
-        _report_summaries(samples, f"simulate x={config.params.x} mu={config.params.mu}")
+    _report_summaries(samples, f"simulate x={config.params.x} mu={config.params.mu}")
     return status
 
 
@@ -264,9 +266,10 @@ def cmd_density(args) -> int:
 def cmd_time_average(args) -> int:
     params = ModelParams(_positive("--x", args.x), _positive("--mu", args.mu))
     config = _sim_config(args, params.x, params.mu, mc.MIN_SAMPLES) if args.simulate else None
+    exact = closed_forms.expected_time_average(params)
     status = 0
     with _open_out(args.out) as out:
-        out.write(f"exact,{closed_forms.expected_time_average(params):.17g}\n")
+        out.write(f"exact,{exact:.17g}\n")
         if args.simulate:
             samples, status = _simulate(config)
             summary = mc.estimate_time_average(samples)
@@ -279,6 +282,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _SAMPLE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -33,12 +33,13 @@ where the bridge can fire:
    needs it gathers from the walk.  The scan reads no uniform before a
    row's entry or at or past its stop.  Passing a row with entry == stop
    breaks its precondition: at a band of 0 a step just above zero has a
-   live argument, whose uniform the numpy twin would read.
+   live argument, whose uniform `scan_rows` would read.
 
-Two interchangeable backends exist: the scalar reference loops compiled
-with numba, used wherever numba imports, and vectorized numpy twins used
-otherwise.  They are bitwise-identical by construction, which the test
-suite asserts draw-for-draw:
+Each phase has one kernel, vectorized in numpy (`walk_rows`, `scan_rows`),
+and a scalar reference loop (`walk_rows_reference`, `scan_rows_reference`)
+that the tests run against it draw for draw.  `mc` looks the kernels up at
+call time, so a test can swap the references in.  Kernel and reference are
+bitwise-identical by construction:
 
 - the numpy walk writes each row's carry into column 0 before its
   row-wise cumsum, so the cumsum performs exactly the scalar left-fold
@@ -48,19 +49,15 @@ suite asserts draw-for-draw:
   walk forms it over the flattened block, where the one lane that
   straddles two rows lands in column 0 and is replaced by the carry;
 - the bridge acceptance argument is written ((-2*X_j)*X_{j+1})/dt in
-  both, compiled without fastmath so no reassociation sneaks in, and
-  short-circuited to rejection below BRIDGE_LOG_FLOOR by the same rule;
-  the numpy twin calls exp only on the live lanes, gathered contiguously;
-- crossing finalization (interpolation, partial areas) lives in the
-  driver, shared by both backends.
+  both, and short-circuited to rejection below BRIDGE_LOG_FLOOR by the
+  same rule; the numpy scan calls exp only on the live lanes, gathered
+  contiguously;
+- crossing finalization (interpolation, partial areas) lives in `mc`,
+  shared by both.
 
-The numba build compiles the reference source unchanged; where numba is
-not installed it is neither compiled nor timed, and the numpy twin is the
-backend that runs.
-
-Draw blocks are generated by the caller, so backends consume identical
-RNG streams positionally and results cannot depend on block sizing or on
-which paths share a block.
+Draw blocks are generated by the caller, so kernel and reference consume
+identical RNG streams positionally and results cannot depend on block
+sizing or on which paths share a block.
 """
 
 from __future__ import annotations
@@ -69,17 +66,9 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    njit = None
-    HAS_NUMBA = False
-
 # Bridge acceptance short-circuit: below this log-probability exp underflows
 # to at most one subnormal ulp, so the test is defined to reject without
-# evaluating exp.  Both backends apply the identical rule.
+# evaluating exp.  The kernel and its reference apply the identical rule.
 BRIDGE_LOG_FLOOR = -745.0
 
 
@@ -94,7 +83,7 @@ def bridge_band(dt: float) -> float:
 
 
 def walk_rows_reference(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
-    """Phase 1, scalar reference; also the source compiled by numba.
+    """Phase 1, scalar reference: the oracle for `walk_rows`.
 
     Row r walks X_{j+1} = X_j + drift + sqrt_dt * z[r, j+1] from
     X_0 = x0 + s_carry[r], adding the trapezoid (X_j + X_{j+1})/2 * dt of
@@ -127,7 +116,7 @@ def walk_rows_reference(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
 
 
 def scan_rows_reference(dt, x, entry, stop, u):
-    """Phase 2, scalar reference; also the source compiled by numba.
+    """Phase 2, scalar reference: the oracle for `scan_rows`.
 
     Takes the rows of `walk_rows_reference` with entry < stop: their
     positions, entry and stop.  Step j in entry[r] .. stop[r]-1 crosses
@@ -152,8 +141,8 @@ def _first(mask):
     return j
 
 
-def walk_rows_numpy(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
-    """Vectorized twin of `walk_rows_reference`; see module docstring."""
+def walk_rows(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
+    """Phase 1, vectorized; bitwise equal to `walk_rows_reference`."""
     z *= sqrt_dt
     z += drift
     z[:, 0] = s_carry
@@ -173,8 +162,8 @@ def walk_rows_numpy(x0, s_carry, area_carry, drift, sqrt_dt, dt, band, z):
     return s, x, area, entry, _first(x <= 0.0) - 1
 
 
-def scan_rows_numpy(dt, x, entry, stop, u):
-    """Vectorized twin of `scan_rows_reference`; see module docstring."""
+def scan_rows(dt, x, entry, stop, u):
+    """Phase 2, vectorized; bitwise equal to `scan_rows_reference`."""
     arg = x[:, :-1] * -2.0
     arg *= x[:, 1:]
     arg /= dt
@@ -190,18 +179,3 @@ def scan_rows_numpy(dt, x, entry, stop, u):
     at = stop.copy()
     np.minimum.at(at, fire // size, fire % size)
     return at
-
-
-# mc looks walk_rows and scan_rows up at call time, so tests can swap
-# backends per-case.
-if HAS_NUMBA:
-    _compile = njit(cache=True, fastmath=False)
-    walk_rows = walk_rows_compiled = _compile(walk_rows_reference)
-    scan_rows = scan_rows_compiled = _compile(scan_rows_reference)
-else:  # pragma: no cover
-    walk_rows_compiled = scan_rows_compiled = None
-    walk_rows, scan_rows = walk_rows_numpy, scan_rows_numpy
-
-
-def backend_name() -> str:
-    return "numba" if scan_rows is not None and scan_rows is scan_rows_compiled else "numpy"

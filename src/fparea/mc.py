@@ -20,8 +20,8 @@ the uniform of step k is the double at stream position k.  The
 acceptance test is defined as u < exp(arg) with rejection short-circuited
 for arg below -745, where exp underflows past the subnormal floor.
 Draw blocks are generated here and handed to the scan kernel, so results
-are independent of backend, block sizing, and execution order: every path
-is a pure function of (config, stream_index).
+are independent of block sizing and execution order: every path is a pure
+function of (config, stream_index).
 
 Uniforms are drawn only from a row's band entry on (see `kernels`): the
 bridge cannot fire on a step whose ends both lie above

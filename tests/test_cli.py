@@ -434,6 +434,39 @@ class TestParserShell:
         assert out == "" and err.startswith("error: --paths must be at least") and "Traceback" not in err
         assert not target.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # gamma = mu*x underflows to 0.0
+            (["correlation", "--x", "1e-320", "--mu-list", "1e-10"], "gamma must be positive"),
+            (["time-average", "--x", "1e-320", "--mu", "1e-10", "--out", "{out}"], "underflows to zero"),
+        ],
+        ids=["correlation", "time-average"],
+    )
+    def test_exact_values_checked_before_output(self, capsys, tmp_path, argv, message):
+        target = tmp_path / "out"
+        code, out, err = run_cli(capsys, *[arg.format(out=target) for arg in argv])
+        assert code == 2
+        assert out == "" and err.startswith("error:") and message in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["correlation", "--x", "1", "--mu-list", "0.02", "--simulate", "--paths", "4", "--seed", "8"], 1),
+            (["simulate", "--x", "1", "--mu", "0.02", "--paths", "2", "--seed", "57"], 3),
+        ],
+        ids=["correlation", "simulate"],
+    )
+    def test_too_few_uncensored_samples_exit_3(self, capsys, argv, rows):
+        # censoring leaves fewer uncensored samples than an estimator needs:
+        # a statistical-quality failure, and the output already written stays
+        code, out, err = run_cli(capsys, *argv, "--dt", "50", "--no-bridge")
+        assert code == 3
+        assert len(out.splitlines()) == rows
+        assert "censored fraction" in err and "uncensored samples, have" in err
+        assert "usage:" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("bad", [["--x", "-1", "--mu", "1"], ["--x", "1", "--mu", "0"]])
     def test_moment_checks_flags_before_computing(self, capsys, monkeypatch, bad):
         def no_fill(m, n):

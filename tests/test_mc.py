@@ -206,10 +206,8 @@ class TestDeterminism:
 
 BACKENDS = [
     pytest.param((kernels.walk_rows_reference, kernels.scan_rows_reference), id="reference"),
-    pytest.param((kernels.walk_rows_numpy, kernels.scan_rows_numpy), id="numpy"),
+    pytest.param((kernels.walk_rows, kernels.scan_rows), id="numpy"),
 ]
-if kernels.HAS_NUMBA:
-    BACKENDS.append(pytest.param((kernels.walk_rows_compiled, kernels.scan_rows_compiled), id="numba"))
 
 
 def _random_rows(rng, rows, nsteps):
@@ -342,9 +340,6 @@ class TestBackends:
             assert (ENDPOINT_HIT, False, bridge) in seen
         assert {(BRIDGE_HIT, True, True), (BRIDGE_HIT, False, True)} <= seen
         assert {("re-entry", True), ("boundary", True), ("never", True)} <= seen
-
-    def test_backend_name_reports(self):
-        assert kernels.backend_name() in ("numba", "numpy")
 
 
 class TestOracleBattery:
