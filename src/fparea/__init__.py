@@ -22,25 +22,41 @@ from .closed_forms import (
     w_joint,
 )
 from .laurent import Poly
-from .mc import (
-    DegenerateVarianceError,
-    EstimatorSummary,
-    HistogramDensity,
-    InsufficientSamplesError,
-    PassageSample,
-    SimConfig,
-    estimate_correlation,
-    estimate_density,
-    estimate_joint_moment,
-    estimate_time_average,
-    run,
-    simulate_path,
-    write_histogram_csv,
-    write_samples_csv,
-)
 from .moments import correlation_from_moments, joint_moment
 
 __version__ = "0.1.0"
+
+# The Monte Carlo names load numpy; they resolve on first use (PEP 562), so
+# the exact side imports without it.
+_MC_NAMES = frozenset({
+    "DegenerateVarianceError",
+    "EstimatorSummary",
+    "HistogramDensity",
+    "InsufficientSamplesError",
+    "PassageSample",
+    "SimConfig",
+    "estimate_correlation",
+    "estimate_density",
+    "estimate_joint_moment",
+    "estimate_time_average",
+    "run",
+    "simulate_path",
+    "write_histogram_csv",
+    "write_samples_csv",
+})
+
+
+def __getattr__(name: str):
+    if name in _MC_NAMES:
+        from . import mc
+
+        return getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MC_NAMES)
+
 
 __all__ = [
     "RHO_LIMIT_LARGE_DRIFT",

@@ -13,7 +13,9 @@ Every command validates its flags and opens its output before it computes;
 `correlation` and `time-average` compute their exact values with the flags.
 The four simulating commands (`simulate`, `density`, `correlation
 --simulate`, `time-average --simulate`) each run through `_simulate`,
-which applies the censoring rule (exit 3) to every one of them.
+which applies the censoring rule (exit 3) to every one of them.  Only
+those import `mc`, and with it numpy; `--help` and the exact commands never
+do.
 """
 
 from __future__ import annotations
@@ -22,17 +24,25 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import IO, Iterator
+from typing import IO, TYPE_CHECKING, Iterator
 
-from . import closed_forms, mc, moments
+from . import closed_forms, moments
 from .closed_forms import ModelParams
-from .mc import SimConfig
+
+if TYPE_CHECKING:
+    from .mc import SimConfig
 
 FIGURE_DRIFTS = (1.0, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0)
 CENSOR_FAIL_FRACTION = 0.01
-# censoring can leave a run too few uncensored samples, or samples without
-# spread, for an estimator: a statistical-quality failure, not a flag error
-_SAMPLE_ERRORS = (mc.InsufficientSamplesError, mc.DegenerateVarianceError)
+
+
+def _sample_errors() -> tuple[type[ValueError], ...]:
+    """Censoring can leave a run too few uncensored samples, or samples
+    without spread, for an estimator: a statistical-quality failure, not a
+    flag error.  Only a simulation raises these, so before `mc` is loaded
+    there are none to catch."""
+    mc = sys.modules.get("fparea.mc")
+    return (mc.InsufficientSamplesError, mc.DegenerateVarianceError) if mc else ()
 
 
 def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
@@ -135,6 +145,8 @@ def _positive(name: str, value: float) -> float:
 
 
 def _sim_config(args, x: float, mu: float, min_paths: int = 1) -> SimConfig:
+    from .mc import SimConfig
+
     if args.paths < min_paths:
         raise ValueError(f"--paths must be at least {min_paths}, got {args.paths}")
     return SimConfig(
@@ -146,19 +158,22 @@ def _sim_config(args, x: float, mu: float, min_paths: int = 1) -> SimConfig:
     )
 
 
-def _simulate(config: SimConfig) -> tuple[list, int]:
-    """The run's samples, and exit status 3 with an error line when more
-    than CENSOR_FAIL_FRACTION of its paths are censored, else 0."""
+def _simulate(config: SimConfig) -> tuple[list, int, int]:
+    """The run's samples, its censored count, and exit status 3 with an
+    error line when more than CENSOR_FAIL_FRACTION of its paths are
+    censored, else 0."""
+    from . import mc
+
     samples = mc.run(config)
     censored = sum(s.censored for s in samples)
     if censored <= CENSOR_FAIL_FRACTION * len(samples):
-        return samples, 0
+        return samples, censored, 0
     print(
         f"error: censored fraction {censored / len(samples):.3g} exceeds "
         f"{CENSOR_FAIL_FRACTION:.0%}",
         file=sys.stderr,
     )
-    return samples, 3
+    return samples, censored, 3
 
 
 def cmd_moment(args) -> int:
@@ -169,12 +184,17 @@ def cmd_moment(args) -> int:
     if args.x is not None:
         _positive("--x", args.x)
         _positive("--mu", args.mu)
-    with _open_out(args.out) as out:
-        poly = moments.joint_moment(args.m, args.n)
-        lines = [poly.to_text()]
-        if args.x is not None:
-            lines.append(f"value,{poly.evaluate(args.x, args.mu):.17g}")
-        out.write("\n".join(lines) + "\n")
+    try:
+        with _open_out(args.out) as out:
+            poly = moments.joint_moment(args.m, args.n)
+            lines = [poly.to_text()]
+            if args.x is not None:
+                lines.append(f"value,{poly.evaluate(args.x, args.mu):.17g}")
+            out.write("\n".join(lines) + "\n")
+    except ValueError:  # a readout past the float range: leave no empty file
+        if args.out is not None:
+            os.remove(args.out)
+        raise
     return 0
 
 
@@ -185,9 +205,11 @@ def cmd_correlation(args) -> int:
         raise ValueError("--mu-list is empty")
     for mu in drifts:
         _positive("--mu-list entry", mu)
-    configs = [
-        _sim_config(args, x, mu, mc.MIN_CORRELATION_SAMPLES) if args.simulate else None for mu in drifts
-    ]
+    configs = [None] * len(drifts)
+    if args.simulate:
+        from . import mc
+
+        configs = [_sim_config(args, x, mu, mc.MIN_CORRELATION_SAMPLES) for mu in drifts]
     exact = [(mu * x, closed_forms.rho_exact(mu * x)) for mu in drifts]
 
     header = ["gamma", "rho_exact"] + (["rho_mc", "rho_mc_stderr"] if args.simulate else [])
@@ -198,7 +220,7 @@ def cmd_correlation(args) -> int:
         for (gamma, rho), config in zip(exact, configs):
             row = [gamma, rho]
             if args.simulate:
-                samples, code = _simulate(config)
+                samples, _, code = _simulate(config)
                 summary = mc.estimate_correlation(samples)
                 row += [summary.estimate, summary.std_error]
                 status = max(status, code)
@@ -206,7 +228,9 @@ def cmd_correlation(args) -> int:
     return status
 
 
-def _report_summaries(samples, label: str) -> None:
+def _report_summaries(samples, censored: int, label: str) -> None:
+    from . import mc
+
     print(f"# {label}", file=sys.stderr)
     try:
         mean_tau = mc.estimate_joint_moment(samples, 1, 0)
@@ -223,22 +247,25 @@ def _report_summaries(samples, label: str) -> None:
             f"time_average {ta.estimate:.6g} (se {ta.std_error:.3g})",
             file=sys.stderr,
         )
-    except _SAMPLE_ERRORS as exc:
+    except _sample_errors() as exc:
         print(f"summaries unavailable: {exc}", file=sys.stderr)
-    censored = sum(s.censored for s in samples)
     print(f"uncensored {len(samples) - censored}, censored {censored}", file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
+    from . import mc
+
     config = _sim_config(args, _positive("--x", args.x), _positive("--mu", args.mu))
     with _open_out(args.out) as out:
-        samples, status = _simulate(config)
+        samples, censored, status = _simulate(config)
         mc.write_samples_csv(samples, out)
-    _report_summaries(samples, f"simulate x={config.params.x} mu={config.params.mu}")
+    _report_summaries(samples, censored, f"simulate x={config.params.x} mu={config.params.mu}")
     return status
 
 
 def cmd_density(args) -> int:
+    from . import mc
+
     if args.bins < 2:
         raise ValueError(f"--bins must be at least 2, got {args.bins}")
     if args.figure1:
@@ -255,7 +282,7 @@ def cmd_density(args) -> int:
     status = 0
     for config, path in jobs:
         with _open_out(path) as out:
-            samples, code = _simulate(config)
+            samples, _, code = _simulate(config)
             mc.write_histogram_csv(mc.estimate_density(samples, args.bins), out)
         if args.figure1:
             print(f"wrote {path}", file=sys.stderr)
@@ -265,13 +292,16 @@ def cmd_density(args) -> int:
 
 def cmd_time_average(args) -> int:
     params = ModelParams(_positive("--x", args.x), _positive("--mu", args.mu))
-    config = _sim_config(args, params.x, params.mu, mc.MIN_SAMPLES) if args.simulate else None
+    if args.simulate:
+        from . import mc
+
+        config = _sim_config(args, params.x, params.mu, mc.MIN_SAMPLES)
     exact = closed_forms.expected_time_average(params)
     status = 0
     with _open_out(args.out) as out:
         out.write(f"exact,{exact:.17g}\n")
         if args.simulate:
-            samples, status = _simulate(config)
+            samples, _, status = _simulate(config)
             summary = mc.estimate_time_average(samples)
             out.write(f"mc_estimate,{summary.estimate:.17g}\nmc_stderr,{summary.std_error:.17g}\n")
     return status
@@ -282,11 +312,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _SAMPLE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, _sample_errors()):
+            return 3
         parser.print_usage(sys.stderr)
         return 2
 

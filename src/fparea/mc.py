@@ -429,8 +429,8 @@ def estimate_joint_moment(
     samples: Sequence[PassageSample], m: int, n: int
 ) -> EstimatorSummary:
     """Sample mean and standard error of tau^m * area^n."""
-    if m < 0 or n < 0:
-        raise ValueError(f"moment orders must be nonnegative, got ({m}, {n})")
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in (m, n)):
+        raise ValueError(f"moment orders must be nonnegative integers, got ({m}, {n})")
     return _mean(samples, lambda taus, areas: taus**m * areas**n)
 
 

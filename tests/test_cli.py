@@ -95,6 +95,17 @@ class TestMoment:
             assert out == ""
             assert "error:" in err and "exceeds the float range" in err
 
+    def test_readout_out_of_float_range_leaves_no_file(self, capsys, tmp_path):
+        # --out is opened before the moment is computed; a failed readout
+        # removes it rather than leave it empty
+        target = tmp_path / "mo.txt"
+        code, out, err = run_cli(
+            capsys, "moment", "--m", "7", "--n", "7", "--x", "1", "--mu", "1e-20", "--out", str(target)
+        )
+        assert code == 2
+        assert out == "" and "exceeds the float range" in err
+        assert not target.exists()
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["moment", "--m", "1"])
@@ -518,6 +529,34 @@ class TestParserShell:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", proc.stderr
+
+    def test_no_numpy_on_the_exact_path(self):
+        # numpy is loaded by the simulating commands only: with every import
+        # of it made to fail, --help and the exact commands still run, and an
+        # exact command's error is still an argument error
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from fparea import cli\n"
+            "def code(argv):\n"
+            "    try:\n"
+            "        return cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        return exc.code\n"
+            "codes = [code(argv) for argv in (\n"
+            "    ['--help'],\n"
+            "    ['moment', '--m', '2', '--n', '1', '--x', '1', '--mu', '1'],\n"
+            "    ['time-average', '--x', '1', '--mu', '1'],\n"
+            "    ['correlation', '--x', '1', '--mu-list', '1'],\n"
+            "    ['moment', '--m', '7', '--n', '7', '--x', '1', '--mu', '1e-20'],\n"
+            ")]\n"
+            "print(codes)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 2]", proc.stderr
 
     def test_module_invocation(self):
         proc = subprocess.run(

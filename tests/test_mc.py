@@ -656,6 +656,12 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_joint_moment(battery, -1, 0)
 
+    def test_rejects_fractional_orders(self, battery):
+        # as joint_moment does: E[tau^1.5] is no moment of the table
+        for m, n in ((1.5, 0), (0, 0.5), (1.0, 1)):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                estimate_joint_moment(battery, m, n)
+
     def test_summary_counts_add_up(self, battery):
         for s in (
             estimate_joint_moment(battery, 1, 0),
