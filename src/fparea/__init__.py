@@ -9,6 +9,9 @@ simulates (tau, A) with a Brownian-bridge crossing correction and
 reproducible per-path RNG streams.
 """
 
+import importlib.util
+import sys
+
 from .closed_forms import (
     RHO_LIMIT_LARGE_DRIFT,
     RHO_LIMIT_ZERO_DRIFT,
@@ -26,8 +29,14 @@ from .moments import correlation_from_moments, joint_moment
 
 __version__ = "0.1.0"
 
-# The Monte Carlo names load numpy; they resolve on first use (PEP 562), so
-# the exact side imports without it.
+# The Monte Carlo side loads numpy, which the exact side never needs: `mc` is
+# bound, and in sys.modules, now but runs on first attribute access
+# (importlib.util.LazyLoader), and the names read from it, its `kernels`
+# module too, resolve then (PEP 562).
+_spec = importlib.util.find_spec(f"{__name__}.mc")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+mc = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mc)
 _MC_NAMES = frozenset({
     "DegenerateVarianceError",
     "EstimatorSummary",
@@ -39,6 +48,7 @@ _MC_NAMES = frozenset({
     "estimate_density",
     "estimate_joint_moment",
     "estimate_time_average",
+    "kernels",
     "run",
     "simulate_path",
     "write_histogram_csv",
@@ -48,8 +58,6 @@ _MC_NAMES = frozenset({
 
 def __getattr__(name: str):
     if name in _MC_NAMES:
-        from . import mc
-
         return getattr(mc, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -14,8 +14,8 @@ Every command validates its flags and opens its output before it computes;
 The four simulating commands (`simulate`, `density`, `correlation
 --simulate`, `time-average --simulate`) each run through `_simulate`,
 which applies the censoring rule (exit 3) to every one of them.  Only
-those import `mc`, and with it numpy; `--help` and the exact commands never
-do.
+those use `mc`, which loads numpy on first use; `--help` and the exact
+commands never load it.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import IO, TYPE_CHECKING, Iterator
+from typing import IO, Iterator
 
-from . import closed_forms, moments
+from . import closed_forms, mc, moments
 from .closed_forms import ModelParams
-
-if TYPE_CHECKING:
-    from .mc import SimConfig
 
 FIGURE_DRIFTS = (1.0, 1.1, 1.2, 1.3, 1.5, 2.0, 3.0)
 CENSOR_FAIL_FRACTION = 0.01
@@ -39,10 +36,9 @@ CENSOR_FAIL_FRACTION = 0.01
 def _sample_errors() -> tuple[type[ValueError], ...]:
     """Censoring can leave a run too few uncensored samples, or samples
     without spread, for an estimator: a statistical-quality failure, not a
-    flag error.  Only a simulation raises these, so before `mc` is loaded
-    there are none to catch."""
-    mc = sys.modules.get("fparea.mc")
-    return (mc.InsufficientSamplesError, mc.DegenerateVarianceError) if mc else ()
+    flag error.  Only a simulating command raises these, so only one looks
+    them up: that loads `mc`."""
+    return (mc.InsufficientSamplesError, mc.DegenerateVarianceError)
 
 
 def _add_sim_flags(sub: argparse.ArgumentParser) -> None:
@@ -72,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_moment.add_argument("--x", type=float, help="starting point for numeric readout")
     p_moment.add_argument("--mu", type=float, help="drift for numeric readout")
     p_moment.add_argument("--out", help="output file (default standard output)")
-    p_moment.set_defaults(func=cmd_moment)
+    p_moment.set_defaults(func=cmd_moment, simulate=False)
 
     p_corr = commands.add_parser(
         "correlation", help="exact correlation of (tau, A), optionally with MC overlay"
@@ -96,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mu", type=float, required=True, help="drift")
     p_sim.add_argument("--out", help="output file (default standard output)")
     _add_sim_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, simulate=True)
 
     p_dens = commands.add_parser("density", help="estimated first-passage area density")
     p_dens.add_argument("--x", type=float, default=1.0, help="starting point")
@@ -112,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output file, or output directory with --figure1 (required there)",
     )
     _add_sim_flags(p_dens)
-    p_dens.set_defaults(func=cmd_density)
+    p_dens.set_defaults(func=cmd_density, simulate=True)
 
     p_ta = commands.add_parser(
         "time-average", help="expected time average E[A/tau] before absorption"
@@ -144,12 +140,10 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
-def _sim_config(args, x: float, mu: float, min_paths: int = 1) -> SimConfig:
-    from .mc import SimConfig
-
+def _sim_config(args, x: float, mu: float, min_paths: int = 1) -> mc.SimConfig:
     if args.paths < min_paths:
         raise ValueError(f"--paths must be at least {min_paths}, got {args.paths}")
-    return SimConfig(
+    return mc.SimConfig(
         params=ModelParams(x, mu),
         dt=args.dt,
         paths=args.paths,
@@ -158,12 +152,10 @@ def _sim_config(args, x: float, mu: float, min_paths: int = 1) -> SimConfig:
     )
 
 
-def _simulate(config: SimConfig) -> tuple[list, int, int]:
+def _simulate(config: mc.SimConfig) -> tuple[list, int, int]:
     """The run's samples, its censored count, and exit status 3 with an
     error line when more than CENSOR_FAIL_FRACTION of its paths are
     censored, else 0."""
-    from . import mc
-
     samples = mc.run(config)
     censored = sum(s.censored for s in samples)
     if censored <= CENSOR_FAIL_FRACTION * len(samples):
@@ -184,6 +176,7 @@ def cmd_moment(args) -> int:
     if args.x is not None:
         _positive("--x", args.x)
         _positive("--mu", args.mu)
+    created = args.out is not None and not os.path.lexists(args.out)
     try:
         with _open_out(args.out) as out:
             poly = moments.joint_moment(args.m, args.n)
@@ -192,7 +185,7 @@ def cmd_moment(args) -> int:
                 lines.append(f"value,{poly.evaluate(args.x, args.mu):.17g}")
             out.write("\n".join(lines) + "\n")
     except ValueError:  # a readout past the float range: leave no empty file
-        if args.out is not None:
+        if created:
             os.remove(args.out)
         raise
     return 0
@@ -205,11 +198,9 @@ def cmd_correlation(args) -> int:
         raise ValueError("--mu-list is empty")
     for mu in drifts:
         _positive("--mu-list entry", mu)
-    configs = [None] * len(drifts)
-    if args.simulate:
-        from . import mc
-
-        configs = [_sim_config(args, x, mu, mc.MIN_CORRELATION_SAMPLES) for mu in drifts]
+    configs = [
+        _sim_config(args, x, mu, mc.MIN_CORRELATION_SAMPLES) if args.simulate else None for mu in drifts
+    ]
     exact = [(mu * x, closed_forms.rho_exact(mu * x)) for mu in drifts]
 
     header = ["gamma", "rho_exact"] + (["rho_mc", "rho_mc_stderr"] if args.simulate else [])
@@ -229,8 +220,6 @@ def cmd_correlation(args) -> int:
 
 
 def _report_summaries(samples, censored: int, label: str) -> None:
-    from . import mc
-
     print(f"# {label}", file=sys.stderr)
     try:
         mean_tau = mc.estimate_joint_moment(samples, 1, 0)
@@ -253,8 +242,6 @@ def _report_summaries(samples, censored: int, label: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from . import mc
-
     config = _sim_config(args, _positive("--x", args.x), _positive("--mu", args.mu))
     with _open_out(args.out) as out:
         samples, censored, status = _simulate(config)
@@ -264,8 +251,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_density(args) -> int:
-    from . import mc
-
     if args.bins < 2:
         raise ValueError(f"--bins must be at least 2, got {args.bins}")
     if args.figure1:
@@ -292,10 +277,7 @@ def cmd_density(args) -> int:
 
 def cmd_time_average(args) -> int:
     params = ModelParams(_positive("--x", args.x), _positive("--mu", args.mu))
-    if args.simulate:
-        from . import mc
-
-        config = _sim_config(args, params.x, params.mu, mc.MIN_SAMPLES)
+    config = _sim_config(args, params.x, params.mu, mc.MIN_SAMPLES) if args.simulate else None
     exact = closed_forms.expected_time_average(params)
     status = 0
     with _open_out(args.out) as out:
@@ -314,7 +296,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _sample_errors()):
+        if args.simulate and isinstance(exc, _sample_errors()):
             return 3
         parser.print_usage(sys.stderr)
         return 2

@@ -100,7 +100,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import kernels, moments
 from .closed_forms import ModelParams
 
 # Round sizing (see the module docstring): the block is _ROUND_BUDGET
@@ -429,8 +429,7 @@ def estimate_joint_moment(
     samples: Sequence[PassageSample], m: int, n: int
 ) -> EstimatorSummary:
     """Sample mean and standard error of tau^m * area^n."""
-    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in (m, n)):
-        raise ValueError(f"moment orders must be nonnegative integers, got ({m}, {n})")
+    m, n = moments._validate_index((m, n))
     return _mean(samples, lambda taus, areas: taus**m * areas**n)
 
 

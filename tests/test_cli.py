@@ -106,6 +106,21 @@ class TestMoment:
         assert out == "" and "exceeds the float range" in err
         assert not target.exists()
 
+    def test_failed_readout_keeps_an_out_path_it_did_not_create(self, capsys, tmp_path):
+        # only a file this call created is removed: an existing file, or a
+        # link to one, is opened (and emptied) as before but stays
+        kept = tmp_path / "kept.txt"
+        kept.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(kept)
+        for path in (kept, link):
+            code, out, err = run_cli(
+                capsys, "moment", "--m", "7", "--n", "7", "--x", "1", "--mu", "1e-20", "--out", str(path)
+            )
+            assert code == 2 and "exceeds the float range" in err
+            assert path.exists()
+        assert link.is_symlink()
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["moment", "--m", "1"])
